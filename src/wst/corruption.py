@@ -94,23 +94,29 @@ def corrupt_dataset(
 def edit_counts(ref: Sequence[int], hyp: Sequence[int]) -> Tuple[int, int, int]:
     """(substitutions, insertions, deletions) of a minimal edit alignment.
 
-    Ties prefer substitution over insertion over deletion.
+    Among the minimum-cost alignments, the one with the most substitutions is
+    taken. Its counts are unique: the cost, the substitution count and the two
+    lengths fix the other two. So swapping ``ref`` and ``hyp`` swaps
+    insertions and deletions.
     """
     n, m = len(ref), len(hyp)
+    # Each path scores w * cost - substitutions. w exceeds any substitution
+    # count, so the least score has the least cost, then the most substitutions.
+    w = n + m + 1
     dist = [[0] * (m + 1) for _ in range(n + 1)]
     op = [[""] * (m + 1) for _ in range(n + 1)]
     for i in range(1, n + 1):
-        dist[i][0] = i
+        dist[i][0] = i * w
         op[i][0] = "d"
     for j in range(1, m + 1):
-        dist[0][j] = j
+        dist[0][j] = j * w
         op[0][j] = "i"
     for i in range(1, n + 1):
         ri = ref[i - 1]
         for j in range(1, m + 1):
-            sub = dist[i - 1][j - 1] + (0 if ri == hyp[j - 1] else 1)
-            ins = dist[i][j - 1] + 1
-            dele = dist[i - 1][j] + 1
+            sub = dist[i - 1][j - 1] + (0 if ri == hyp[j - 1] else w - 1)
+            ins = dist[i][j - 1] + w
+            dele = dist[i - 1][j] + w
             best = min(sub, ins, dele)
             dist[i][j] = best
             if sub == best:

@@ -22,10 +22,14 @@ class BlankInTranscript(VocabError):
         super().__init__(f"blank token at position {position}; blank is reserved and may not appear in transcripts")
 
 
-class StarInTranscript(VocabError):
-    def __init__(self, position: int):
+class StarInTranscript(OutOfVocabulary):
+    """The star id is one past the last real symbol, so it is also out of vocabulary."""
+
+    def __init__(self, position: int, token_id: int):
         self.position = position
-        super().__init__(f"star token at position {position}; star is virtual and may not appear in transcripts")
+        self.token_id = token_id
+        VocabError.__init__(
+            self, f"star token at position {position}; star is virtual and may not appear in transcripts")
 
 
 class CyclicGraph(WstError):

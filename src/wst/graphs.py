@@ -36,8 +36,9 @@ class PenaltyConfig:
     """Constant log-domain penalties for bypass arcs.
 
     ``lambda1`` discounts token bypass arcs, ``lambda2`` blank bypass arcs.
-    Both are fixed across epochs. -inf disables the arcs entirely. Positive
-    values are accepted with a warning (they reward bypassing).
+    Both are fixed across epochs. -inf disables the arcs entirely. Finite
+    positive values are accepted with a warning (they reward bypassing); +inf
+    is rejected, since it would make a bypass path infinitely likely.
     """
 
     lambda1: float = LN_HALF
@@ -48,6 +49,8 @@ class PenaltyConfig:
             v = getattr(self, name)
             if math.isnan(v):
                 raise ValueError(f"{name} must not be NaN")
+            if v == math.inf:
+                raise ValueError(f"{name} must not be +inf")
             if v > 0:
                 warnings.warn(f"{name}={v} is positive; bypass arcs will be rewarded, not penalized")
 

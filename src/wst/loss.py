@@ -7,12 +7,24 @@ mathematically identical to ``wfst.total_weight`` on the built lattice (the
 test suite asserts equality against both the lattice route and exhaustive
 path enumeration).
 
+The recurrence runs as a wavefront. Cell (t, u) depends only on (t, u-1) and
+(t-1, u), so every cell of an anti-diagonal d = t + u depends only on the
+diagonal before it. The arc weights are stored skewed, cell (t, u) at
+(d, u) with -inf outside the grid, and alpha and beta each take T + U vector
+steps over whole diagonals. Every cell sees the same operands in the same
+order as a cell-by-cell loop (a missing predecessor is -inf, and
+``logaddexp(-inf, x) == x`` exactly), so the result is bit-identical to it.
+
 Gradients are with respect to the logits by default: arc occupancies are
 routed through the log-softmax Jacobian, and bypass arcs additionally apply
 the star chain rule — the star weight depends on the row only through the
 blank log-probability, with d(star)/d(logp_blank) = -p_blank / (1 - p_blank).
-The raw log-probability-level gradient (plain occupancy accumulation) is
-available via ``grad_wrt="logprobs"``.
+Each row of the log-probability sensitivity has at most two nonzero entries,
+blank and the row's target, so the kernel returns it as two planes,
+``d_blank`` [B, T, U+1] and ``d_tok`` [B, T, U]. The logit gradient is then
+softmax * (d_blank + d_tok) minus the two planes in their own columns; no
+dense sensitivity tensor is built. The raw log-probability-level gradient
+(plain occupancy accumulation) is available via ``grad_wrt="logprobs"``.
 """
 
 import math
@@ -22,10 +34,8 @@ import numpy as np
 
 from .exceptions import NoPath, ShapeMismatch, WstError
 from .graphs import PenaltyConfig
-from .numerics import NEG_INF
+from .numerics import NEG_INF, star_log_prob
 from .vocab import Vocab, validate_transcript
-
-_NEG_INF = -np.inf
 
 
 def log_softmax(logits) -> np.ndarray:
@@ -33,7 +43,8 @@ def log_softmax(logits) -> np.ndarray:
     z = np.asarray(logits, dtype=float)
     m = z.max(axis=-1, keepdims=True)
     shifted = z - m
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    shifted -= np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    return shifted
 
 
 def star_logprob(row) -> float:
@@ -45,8 +56,6 @@ def star_logprob(row) -> float:
     r = np.asarray(row, dtype=float)
     if r.ndim != 1 or r.shape[0] < 2:
         raise ShapeMismatch("expected one probability row of length >= 2")
-    from .numerics import star_log_prob
-
     return star_log_prob(float(r[0]), r.shape[0])
 
 
@@ -57,8 +66,20 @@ def _star_rows(blank_lp: np.ndarray, vocab_size: int) -> np.ndarray:
         near = np.log(-np.expm1(b))
         far = np.log1p(-np.exp(b))
         out = np.where(b > math.log(0.5), near, far)
-    out = np.where(b >= 0.0, _NEG_INF, out)
+    out = np.where(b >= 0.0, NEG_INF, out)
     return out - math.log(vocab_size - 1)
+
+
+def _skew(plane: np.ndarray, diags: int, col_offset: int, width: int) -> np.ndarray:
+    """[B, T', C] grid plane -> [diags, B, width], cell (t, u) at (t + u, u + col_offset).
+
+    Everything else is -inf. The diagonal axis comes first so that one
+    diagonal is a contiguous block.
+    """
+    out = np.full((diags, plane.shape[0], width), NEG_INF)
+    for u in range(plane.shape[2]):
+        out[u:u + plane.shape[1], :, u + col_offset] = plane[:, :, u].T
+    return out
 
 
 def _grid_loss_grad(
@@ -67,69 +88,67 @@ def _grid_loss_grad(
     use_star: bool,
     lambda1: float,
     lambda2: float,
-) -> Tuple[np.ndarray, np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Forward-backward over the (t, u) grid for a batch of equal-shape items.
 
-    lp: [B, T, U+1, V] log-probabilities; ys: [B, U] token ids.
-    Returns (log total weight [B], occupancy-routed sensitivity
-    d(log total)/d(lp) as [B, T, U+1, V]).
+    lp: [B, T, U+1, V] log-probabilities; ys: [B, U] token ids, none of them 0.
+    Returns (log total weight [B], d_blank [B, T, U+1], d_tok [B, T, U],
+    idx [B, T, U, 1]): the sensitivity d(log total)/d(lp) is d_blank in the
+    blank column, d_tok in the target column idx, and zero elsewhere.
     """
     b_sz, t_len, cols, v_size = lp.shape
     u_len = cols - 1
     blank = lp[..., 0]  # [B, T, U+1]
-    if u_len > 0:
-        idx = np.broadcast_to(ys[:, None, :], (b_sz, t_len, u_len))
-        tok = np.take_along_axis(lp[:, :, :u_len, :], idx[..., None], axis=-1)[..., 0]
-    else:
-        tok = np.zeros((b_sz, t_len, 0))
+    idx = np.broadcast_to(ys[:, None, :, None], (b_sz, t_len, u_len, 1))
+    tok = np.take_along_axis(lp[:, :, :u_len, :], idx, axis=-1)[..., 0]
 
     if use_star:
         star = _star_rows(blank, v_size)  # [B, T, U+1]
-        star1 = star[:, :, :u_len] + lambda1 if lambda1 != NEG_INF else np.full_like(tok, _NEG_INF)
-        star2 = star + lambda2 if lambda2 != NEG_INF else np.full_like(blank, _NEG_INF)
+        star1 = star[:, :, :u_len] + lambda1 if lambda1 != NEG_INF else np.full_like(tok, NEG_INF)
+        star2 = star + lambda2 if lambda2 != NEG_INF else np.full_like(blank, NEG_INF)
         vert = np.logaddexp(tok, star1)
         horiz = np.logaddexp(blank, star2)
     else:
         vert = tok
         horiz = blank
 
-    alpha = np.full((b_sz, t_len, cols), _NEG_INF)
-    alpha[:, 0, 0] = 0.0
-    for t in range(t_len):
-        for u in range(cols):
-            if t == 0 and u == 0:
-                continue
-            acc = np.full(b_sz, _NEG_INF)
-            if u > 0:
-                acc = alpha[:, t, u - 1] + vert[:, t, u - 1]
-            if t > 0:
-                acc = np.logaddexp(acc, alpha[:, t - 1, u] + horiz[:, t - 1, u])
-            alpha[:, t, u] = acc
+    # Skewed planes. Alpha and beta carry a -inf column on each side of the
+    # U+1 cells (cell u at column u+1); vs has one at each end of the U token
+    # arcs, so vs[d, :-1] lines up vertical arcs with the cell they enter and
+    # vs[d, 1:] with the cell they leave. The last frame has no horizontal
+    # arc: leaving it out keeps the wavefront inside the grid.
+    diags = t_len + u_len
+    vs = _skew(vert, diags, 1, cols + 1)
+    hs = _skew(horiz[:, : t_len - 1], diags, 0, cols)
+
+    alpha_s = np.full((diags, b_sz, cols + 2), NEG_INF)
+    alpha_s[0, :, 1] = 0.0
+    for d in range(1, diags):
+        prev = alpha_s[d - 1]
+        np.logaddexp(prev[:, :-2] + vs[d - 1, :, :-1], prev[:, 1:-1] + hs[d - 1],
+                     out=alpha_s[d, :, 1:-1])
 
     term = blank[:, t_len - 1, u_len]  # mandatory final blank, never bypassed
-    total = alpha[:, t_len - 1, u_len] + term
+    beta_s = np.full((diags, b_sz, cols + 2), NEG_INF)
+    beta_s[diags - 1, :, cols] = term
+    for d in range(diags - 2, -1, -1):
+        nxt = beta_s[d + 1]
+        np.logaddexp(vs[d, :, 1:] + nxt[:, 2:], hs[d] + nxt[:, 1:-1], out=beta_s[d, :, 1:-1])
 
-    beta = np.full((b_sz, t_len, cols), _NEG_INF)
-    beta[:, t_len - 1, u_len] = term
-    for t in range(t_len - 1, -1, -1):
-        for u in range(cols - 1, -1, -1):
-            if t == t_len - 1 and u == u_len:
-                continue
-            acc = np.full(b_sz, _NEG_INF)
-            if u < u_len:
-                acc = vert[:, t, u] + beta[:, t, u + 1]
-            if t < t_len - 1:
-                acc = np.logaddexp(acc, horiz[:, t, u] + beta[:, t + 1, u])
-            beta[:, t, u] = acc
+    t_ix = np.arange(t_len)[:, None]
+    u_ix = np.arange(cols)[None, :]
+    alpha = np.moveaxis(alpha_s[t_ix + u_ix, :, u_ix + 1], -1, 0)  # [B, T, U+1]
+    beta = np.moveaxis(beta_s[t_ix + u_ix, :, u_ix + 1], -1, 0)
+    total = alpha[:, t_len - 1, u_len] + term
 
     tot = total[:, None, None]
     with np.errstate(invalid="ignore"):
         log_g_vert = alpha[:, :, :u_len] + vert + beta[:, :, 1:]
-        gamma_vert = np.where(log_g_vert == _NEG_INF, 0.0, np.exp(log_g_vert - tot))
+        gamma_vert = np.where(log_g_vert == NEG_INF, 0.0, np.exp(log_g_vert - tot))
         log_g_horiz = alpha[:, : t_len - 1, :] + horiz[:, : t_len - 1, :] + beta[:, 1:, :]
-        gamma_horiz = np.where(log_g_horiz == _NEG_INF, 0.0, np.exp(log_g_horiz - tot))
+        gamma_horiz = np.where(log_g_horiz == NEG_INF, 0.0, np.exp(log_g_horiz - tot))
     gamma_term = np.where(
-        alpha[:, t_len - 1, u_len] == _NEG_INF, 0.0,
+        alpha[:, t_len - 1, u_len] == NEG_INF, 0.0,
         np.exp(alpha[:, t_len - 1, u_len] + term - tot[:, 0, 0]),
     )
 
@@ -145,15 +164,10 @@ def _grid_loss_grad(
     else:
         gamma_tok = gamma_vert
         gamma_blank = gamma_horiz
-        gamma_tok_byp = gamma_blank_byp = None
 
-    dlp = np.zeros_like(lp)
-    if u_len > 0:
-        scatter = np.zeros((b_sz, t_len, u_len, v_size))
-        np.put_along_axis(scatter, idx[..., None], gamma_tok[..., None], axis=-1)
-        dlp[:, :, :u_len, :] += scatter
-    dlp[:, : t_len - 1, :, 0] += gamma_blank
-    dlp[:, t_len - 1, u_len, 0] += gamma_term
+    d_blank = np.zeros((b_sz, t_len, cols))
+    d_blank[:, : t_len - 1, :] += gamma_blank
+    d_blank[:, t_len - 1, u_len] += gamma_term
 
     if use_star:
         gamma_star = np.zeros((b_sz, t_len, cols))
@@ -164,49 +178,87 @@ def _grid_loss_grad(
         p_blank = np.exp(blank)
         with np.errstate(divide="ignore", invalid="ignore"):
             factor = p_blank / np.expm1(blank)  # = -p/(1-p)
-        dlp[..., 0] += np.where(gamma_star > 0.0, gamma_star * factor, 0.0)
+            d_blank += np.where(gamma_star > 0.0, gamma_star * factor, 0.0)
 
-    return total, dlp
+    return total, d_blank, gamma_tok, idx
 
 
-def _prepare(logits, tokens) -> Tuple[np.ndarray, np.ndarray, Vocab]:
-    z = np.asarray(logits, dtype=float)
-    if z.ndim != 3:
-        raise ShapeMismatch(f"expected a [T][U+1][|V|] logit tensor, got {z.ndim} dimensions")
-    t_len, cols, v_size = z.shape
+def _logit_grad(lp: np.ndarray, d_blank: np.ndarray, d_tok: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """-d(log total)/d(logits) from the two sensitivity planes, written over ``lp``.
+
+    Equals -(dlp - softmax * dlp.sum(-1)) for the dense sensitivity dlp: a row
+    has only the blank and target nonzeros, so its sum is d_blank + d_tok
+    exactly, and -(a - b) == b - a in IEEE arithmetic (up to the sign of 0).
+    """
+    u_len = d_tok.shape[2]
+    s = d_blank.copy()
+    s[:, :, :u_len] += d_tok
+    g = np.exp(lp, out=lp)
+    g *= s[..., None]
+    g[..., 0] -= d_blank
+    g_tok = g[:, :, :u_len]
+    np.put_along_axis(g_tok, idx, np.take_along_axis(g_tok, idx, axis=-1) - d_tok[..., None], axis=-1)
+    return g
+
+
+def _logprob_grad(lp: np.ndarray, d_blank: np.ndarray, d_tok: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """-d(log total)/d(lp): the negated dense arc occupancies."""
+    dlp = np.zeros_like(lp)
+    dlp[..., 0] = d_blank
+    np.put_along_axis(dlp[:, :, : d_tok.shape[2]], idx, d_tok[..., None], axis=-1)
+    return -dlp
+
+
+def _check_grid(z: np.ndarray, ys: np.ndarray) -> None:
+    """Typed errors for [B, T, U+1, V] logits and [B, U] target ids."""
+    b_sz, t_len, cols, v_size = z.shape
     if v_size < 2:
         raise ShapeMismatch("vocabulary axis must have size >= 2")
     if t_len < 1:
         raise ShapeMismatch("need at least one frame")
-    if cols != len(tokens) + 1:
-        raise ShapeMismatch(f"tensor has {cols} transcript rows, expected U+1={len(tokens) + 1}")
-    if not np.all(np.isfinite(z)):
+    if ys.ndim != 2 or ys.shape[0] != b_sz:
+        raise ShapeMismatch(f"expected [B][U] targets with B={b_sz}, got shape {ys.shape}")
+    if ys.shape[1] + 1 != cols:
+        raise ShapeMismatch(f"tensor has {cols} transcript rows, expected U+1={ys.shape[1] + 1}")
+    if not np.isfinite(z).all():
         raise ShapeMismatch("logits must be finite")
-    vocab = Vocab(v_size)
-    validate_transcript(vocab, tokens)
-    return z, np.asarray(list(tokens), dtype=int), vocab
+    bad = (ys < 1) | (ys >= v_size)
+    if bad.any():
+        validate_transcript(Vocab(v_size), ys[int(np.argmax(bad.any(axis=1)))])
 
 
-def _logit_grad(dlp: np.ndarray, lp: np.ndarray) -> np.ndarray:
-    p = np.exp(lp)
-    return -(dlp - p * dlp.sum(axis=-1, keepdims=True))
+def _target_ids(ys, v_size: int) -> np.ndarray:
+    """Target ids as an int array; an id too large for one is out of vocabulary."""
+    try:
+        return np.asarray(ys, dtype=int)
+    except OverflowError:
+        for row in np.atleast_2d(np.asarray(ys, dtype=object)):
+            validate_transcript(Vocab(max(v_size, 2)), row)
+        raise
 
 
-def _single_loss(logits, tokens, use_star, penalties, grad_wrt) -> Tuple[float, np.ndarray]:
-    z, ys, _ = _prepare(logits, tokens)
+def _loss_and_grad(z, ys, use_star, penalties, grad_wrt) -> Tuple[np.ndarray, np.ndarray]:
+    """Validated log total weight [B] and gradient for a [B, T, U+1, V] batch."""
+    if grad_wrt not in ("logits", "logprobs"):
+        raise ValueError(f"grad_wrt must be 'logits' or 'logprobs', got {grad_wrt!r}")
+    _check_grid(z, ys)
     lp = log_softmax(z)
     lam1 = penalties.lambda1 if penalties is not None else 0.0
     lam2 = penalties.lambda2 if penalties is not None else 0.0
-    total, dlp = _grid_loss_grad(lp[None], ys[None], use_star, lam1, lam2)
-    if total[0] == _NEG_INF:
+    total, *planes = _grid_loss_grad(lp, ys, use_star, lam1, lam2)
+    grad = _logit_grad(lp, *planes) if grad_wrt == "logits" else _logprob_grad(lp, *planes)
+    return total, grad
+
+
+def _single_loss(logits, tokens, use_star, penalties, grad_wrt) -> Tuple[float, np.ndarray]:
+    z = np.asarray(logits, dtype=float)
+    if z.ndim != 3:
+        raise ShapeMismatch(f"expected a [T][U+1][|V|] logit tensor, got {z.ndim} dimensions")
+    ys = _target_ids(list(tokens), z.shape[-1]).reshape(1, -1)
+    total, grad = _loss_and_grad(z[None], ys, use_star, penalties, grad_wrt)
+    if total[0] == NEG_INF:
         raise NoPath("lattice admits no accepting path")
-    if grad_wrt == "logits":
-        grad = _logit_grad(dlp, lp[None])[0]
-    elif grad_wrt == "logprobs":
-        grad = -dlp[0]
-    else:
-        raise ValueError(f"grad_wrt must be 'logits' or 'logprobs', got {grad_wrt!r}")
-    return float(-total[0]), grad
+    return float(-total[0]), grad[0]
 
 
 def rnnt_loss(logits, tokens: Sequence[int], grad_wrt: str = "logits") -> Tuple[float, np.ndarray]:
@@ -244,20 +296,15 @@ def batched_grid_loss(
 
     logits: [B, T, U+1, V]; ys: [B, U]. Per-item results are bit-identical to
     the corresponding single calls (the recurrence is elementwise over the
-    batch axis).
+    batch axis). Inputs are validated as in the single calls: non-finite
+    logits or mismatched shapes raise ShapeMismatch, and a blank or
+    out-of-vocabulary target raises the VocabError of ``validate_transcript``.
     """
     z = np.asarray(logits, dtype=float)
     if z.ndim != 4:
         raise ShapeMismatch(f"expected a [B][T][U+1][|V|] tensor, got {z.ndim} dimensions")
     use_star = _criterion_flag(criterion)
-    lp = log_softmax(z)
-    lam1 = penalties.lambda1 if penalties is not None else 0.0
-    lam2 = penalties.lambda2 if penalties is not None else 0.0
-    total, dlp = _grid_loss_grad(lp, np.asarray(ys, dtype=int), use_star, lam1, lam2)
-    if grad_wrt == "logits":
-        grad = _logit_grad(dlp, lp)
-    else:
-        grad = -dlp
+    total, grad = _loss_and_grad(z, _target_ids(ys, z.shape[-1]), use_star, penalties, grad_wrt)
     return -total, grad
 
 

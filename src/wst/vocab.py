@@ -46,6 +46,6 @@ def validate_transcript(vocab: Vocab, tokens: Sequence[int]) -> None:
         if tok == vocab.blank_id:
             raise BlankInTranscript(i)
         if tok == vocab.star_id:
-            raise StarInTranscript(i)
+            raise StarInTranscript(i, tok)
         if not vocab.is_real_token(tok):
             raise OutOfVocabulary(i, tok)

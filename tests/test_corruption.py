@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from wst.corruption import (
     KINDS,
@@ -113,8 +113,13 @@ class TestEditCounts:
     def test_empty_ref(self):
         assert edit_counts([], [1, 2]) == (0, 2, 0)
 
+    def test_tie_prefers_most_substitutions(self):
+        # two minimal alignments of cost 4: (0, 1, 3) and (2, 0, 2)
+        assert edit_counts([1, 1, 1, 2, 2, 1], [2, 2, 1, 2]) == (2, 0, 2)
+
     @given(st.lists(st.integers(1, 5), max_size=8), st.lists(st.integers(1, 5), max_size=8))
     @settings(max_examples=200)
+    @example([1, 1, 1, 2, 2, 1], [2, 2, 1, 2])
     def test_symmetry_swaps_ins_and_del(self, a, b):
         s1, i1, d1 = edit_counts(a, b)
         s2, i2, d2 = edit_counts(b, a)

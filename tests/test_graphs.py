@@ -46,6 +46,11 @@ class TestPenaltyConfig:
         with pytest.raises(ValueError):
             PenaltyConfig(float("nan"), 0.0)
 
+    @pytest.mark.parametrize("lams", [(math.inf, 0.0), (0.0, math.inf)])
+    def test_pos_inf_rejected(self, lams):
+        with pytest.raises(ValueError, match=r"\+inf"):
+            PenaltyConfig(*lams)
+
 
 class TestTranscriptGraph:
     def test_empty(self):

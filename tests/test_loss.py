@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from wst.exceptions import ShapeMismatch
-from wst.graphs import PenaltyConfig, build_rnnt_lattice, build_wst_lattice
+from wst.exceptions import BlankInTranscript, OutOfVocabulary, ShapeMismatch
+from wst.graphs import LN_HALF, PenaltyConfig, build_rnnt_lattice, build_wst_lattice
 from wst.loss import (
     BatchItemError,
+    _grid_loss_grad,
+    _star_rows,
     batch_loss,
     batched_grid_loss,
     log_softmax,
@@ -239,3 +242,176 @@ class TestBatchLoss:
             l, g = wst_loss(zs[i], list(ys[i]), NO_PENALTY)
             assert losses[i] == l
             assert np.array_equal(grads[i], g)
+
+
+def reference_grid_loss(logits, ys, use_star, lambda1, lambda2, grad_wrt):
+    """Cell-by-cell forward-backward with a dense sensitivity tensor.
+
+    The straightforward form of the kernel: alpha and beta visit one (t, u)
+    cell at a time, and d(log total)/d(lp) is accumulated into a dense
+    [B, T, U+1, V] array. Returns (log total [B], loss [B], gradient).
+    """
+    lp = log_softmax(logits)
+    b_sz, t_len, cols, v_size = lp.shape
+    u_len = cols - 1
+    blank = lp[..., 0]
+    idx = np.broadcast_to(ys[:, None, :], (b_sz, t_len, u_len))
+    tok = np.take_along_axis(lp[:, :, :u_len, :], idx[..., None], axis=-1)[..., 0]
+    if use_star:
+        star = _star_rows(blank, v_size)
+        star1 = star[:, :, :u_len] + lambda1 if lambda1 != NEG_INF else np.full_like(tok, NEG_INF)
+        star2 = star + lambda2 if lambda2 != NEG_INF else np.full_like(blank, NEG_INF)
+        vert = np.logaddexp(tok, star1)
+        horiz = np.logaddexp(blank, star2)
+    else:
+        vert, horiz = tok, blank
+
+    alpha = np.full((b_sz, t_len, cols), NEG_INF)
+    alpha[:, 0, 0] = 0.0
+    for t in range(t_len):
+        for u in range(cols):
+            if t == 0 and u == 0:
+                continue
+            acc = np.full(b_sz, NEG_INF)
+            if u > 0:
+                acc = alpha[:, t, u - 1] + vert[:, t, u - 1]
+            if t > 0:
+                acc = np.logaddexp(acc, alpha[:, t - 1, u] + horiz[:, t - 1, u])
+            alpha[:, t, u] = acc
+    term = blank[:, t_len - 1, u_len]
+    total = alpha[:, t_len - 1, u_len] + term
+
+    beta = np.full((b_sz, t_len, cols), NEG_INF)
+    beta[:, t_len - 1, u_len] = term
+    for t in range(t_len - 1, -1, -1):
+        for u in range(cols - 1, -1, -1):
+            if t == t_len - 1 and u == u_len:
+                continue
+            acc = np.full(b_sz, NEG_INF)
+            if u < u_len:
+                acc = vert[:, t, u] + beta[:, t, u + 1]
+            if t < t_len - 1:
+                acc = np.logaddexp(acc, horiz[:, t, u] + beta[:, t + 1, u])
+            beta[:, t, u] = acc
+
+    tot = total[:, None, None]
+    with np.errstate(invalid="ignore"):
+        log_g_vert = alpha[:, :, :u_len] + vert + beta[:, :, 1:]
+        gamma_vert = np.where(log_g_vert == NEG_INF, 0.0, np.exp(log_g_vert - tot))
+        log_g_horiz = alpha[:, : t_len - 1, :] + horiz[:, : t_len - 1, :] + beta[:, 1:, :]
+        gamma_horiz = np.where(log_g_horiz == NEG_INF, 0.0, np.exp(log_g_horiz - tot))
+    gamma_term = np.where(alpha[:, t_len - 1, u_len] == NEG_INF, 0.0,
+                          np.exp(alpha[:, t_len - 1, u_len] + term - tot[:, 0, 0]))
+    if use_star:
+        with np.errstate(invalid="ignore"):
+            gamma_tok = np.where(gamma_vert > 0.0, gamma_vert * np.exp(tok - vert), 0.0)
+            gamma_blank = np.where(gamma_horiz > 0.0,
+                                   gamma_horiz * np.exp(blank[:, : t_len - 1, :] - horiz[:, : t_len - 1, :]),
+                                   0.0)
+    else:
+        gamma_tok, gamma_blank = gamma_vert, gamma_horiz
+
+    dlp = np.zeros_like(lp)
+    scatter = np.zeros((b_sz, t_len, u_len, v_size))
+    np.put_along_axis(scatter, idx[..., None], gamma_tok[..., None], axis=-1)
+    dlp[:, :, :u_len, :] += scatter
+    dlp[:, : t_len - 1, :, 0] += gamma_blank
+    dlp[:, t_len - 1, u_len, 0] += gamma_term
+    if use_star:
+        gamma_star = np.zeros((b_sz, t_len, cols))
+        gamma_star[:, :, :u_len] += gamma_vert - gamma_tok
+        gamma_star[:, : t_len - 1, :] += gamma_horiz - gamma_blank
+        with np.errstate(divide="ignore", invalid="ignore"):
+            factor = np.exp(blank) / np.expm1(blank)
+            dlp[..., 0] += np.where(gamma_star > 0.0, gamma_star * factor, 0.0)
+
+    if grad_wrt == "logits":
+        grad = -(dlp - np.exp(lp) * dlp.sum(axis=-1, keepdims=True))
+    else:
+        grad = -dlp
+    return total, -total, grad
+
+
+PENALTIES = [(NEG_INF, NEG_INF), (0.0, 0.0), (LN_HALF, NEG_INF), (LN_HALF, LN_HALF)]
+
+
+class TestWavefrontKernel:
+    """The wavefront kernel against the cell-by-cell reference, bit for bit."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        b_sz=st.integers(1, 3),
+        t_len=st.integers(1, 6),
+        u_len=st.integers(0, 5),
+        v_size=st.integers(2, 12),
+        scale=st.sampled_from([1.0, 60.0]),
+        blank_boost=st.booleans(),
+        lams=st.sampled_from(PENALTIES),
+    )
+    @example(seed=0, b_sz=2, t_len=1, u_len=0, v_size=3, scale=1.0, blank_boost=False,
+             lams=(0.0, 0.0))
+    @example(seed=1, b_sz=1, t_len=1, u_len=3, v_size=4, scale=1.0, blank_boost=False,
+             lams=(LN_HALF, NEG_INF))
+    @example(seed=2, b_sz=2, t_len=5, u_len=0, v_size=5, scale=60.0, blank_boost=True,
+             lams=(LN_HALF, LN_HALF))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_cell_loop(self, seed, b_sz, t_len, u_len, v_size, scale, blank_boost, lams):
+        rng = np.random.default_rng(seed)
+        z = rng.standard_normal((b_sz, t_len, u_len + 1, v_size)) * scale
+        if blank_boost:
+            # blank takes all the mass in these rows, so their star weight is -inf
+            z[..., 0] += 60.0 * (rng.random((b_sz, t_len, u_len + 1)) < 0.5)
+        ys = rng.integers(1, v_size, size=(b_sz, u_len))
+        pen = PenaltyConfig(*lams)
+        for criterion, use_star in (("rnnt", False), ("wst", True)):
+            total, *_ = _grid_loss_grad(log_softmax(z), ys, use_star, *lams)
+            for grad_wrt in ("logits", "logprobs"):
+                ref_total, ref_loss, ref_grad = reference_grid_loss(z, ys, use_star, *lams, grad_wrt)
+                assert np.array_equal(total, ref_total)
+                loss, grad = batched_grid_loss(z, ys, criterion, pen, grad_wrt)
+                assert np.array_equal(loss, ref_loss)
+                assert np.array_equal(grad, ref_grad)
+
+    def test_star_underflow_reaches_kernel(self):
+        z = np.zeros((1, 2, 2, 4))
+        z[..., 0] = 60.0
+        assert np.all(_star_rows(log_softmax(z)[..., 0], 4) == NEG_INF)
+
+
+class TestBatchedValidation:
+    Z = np.random.default_rng(16).standard_normal((2, 3, 3, 5))
+    YS = np.asarray([[1, 2], [3, 4]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_logits(self, bad):
+        z = self.Z.copy()
+        z[1, 2, 0, 3] = bad
+        with pytest.raises(ShapeMismatch):
+            batched_grid_loss(z, self.YS, "wst", NO_PENALTY)
+
+    def test_blank_target(self):
+        with pytest.raises(BlankInTranscript) as exc:
+            batched_grid_loss(self.Z, [[1, 2], [3, 0]])
+        assert exc.value.position == 1
+
+    @pytest.mark.parametrize("tok", [5, 9, -1])
+    def test_out_of_vocabulary_target(self, tok):
+        with pytest.raises(OutOfVocabulary) as exc:
+            batched_grid_loss(self.Z, [[tok, 2], [3, 4]])
+        assert exc.value.token_id == tok
+
+    def test_target_beyond_int_range(self):
+        with pytest.raises(OutOfVocabulary) as exc:
+            batched_grid_loss(self.Z, [[1, 2], [3, 2**64]])
+        assert exc.value.position == 1
+        with pytest.raises(OutOfVocabulary):
+            rnnt_loss(self.Z[0], [2**64, 1])
+
+    @pytest.mark.parametrize("ys", [[[1], [3]], [[1, 2, 3], [3, 4, 1]], [1, 2], [[1, 2]]])
+    def test_target_shape(self, ys):
+        with pytest.raises(ShapeMismatch):
+            batched_grid_loss(self.Z, ys)
+
+    def test_unknown_grad_wrt(self):
+        with pytest.raises(ValueError, match="grad_wrt"):
+            batched_grid_loss(self.Z, self.YS, grad_wrt="bogus")
