@@ -14,8 +14,9 @@ from .graphs import (
     build_transcript_graph,
     build_ws_transcript_graph,
     build_wst_lattice,
+    penalties_for,
 )
-from .loss import batch_loss, batched_grid_loss, log_softmax, rnnt_loss, star_logprob, wst_loss
+from .loss import batched_grid_loss, log_softmax, rnnt_loss, wst_loss
 from .numerics import NEG_INF, log_add, log_sum, star_log_prob
 from .oracle import brute_force_loss, enumerate_paths
 from .toytrain import (

@@ -11,6 +11,7 @@ accept the literal -inf (use the --flag=value form).
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -198,18 +199,9 @@ def cmd_sweep(args) -> int:
         for criterion, kind, rate in sweep_cells(rates, kinds):
             if (criterion, kind, rate) in done:
                 continue
-            config = toytrain.ExperimentConfig(
-                task=base.task,
-                corruption=corruption.CorruptionSpec(kind, rate, base.corruption.seed),
-                criterion=criterion,
-                penalties=base.penalties,
-                hidden=base.hidden,
-                learning_rate=base.learning_rate,
-                epochs=base.epochs,
-                batch_size=base.batch_size,
-                momentum=base.momentum,
-                max_symbols_per_frame=base.max_symbols_per_frame,
-            )
+            config = dataclasses.replace(
+                base, corruption=corruption.CorruptionSpec(kind, rate, base.corruption.seed),
+                criterion=criterion)
             report = toytrain.run_experiment(config)
             row = {
                 "criterion": criterion,

@@ -9,6 +9,10 @@ Four constructions:
 * weakly supervised lattice: the same grid with a token-bypass twin for every
   token arc and a blank-bypass twin for every non-terminating blank arc.
 
+The two lattices come from one grid builder: the standard lattice is the
+weakly supervised one without bypass arcs, and ``penalties is None`` is the
+switch between them (``penalties_for`` maps a criterion name onto it).
+
 Grid state (t, u) has id t*(U+1)+u; the pre-final state is T*(U+1) and the
 final state T*(U+1)+1. The terminating blank arc from (T-1, U) is mandatory
 and deliberately has no bypass twin, which keeps the weakly supervised path
@@ -19,12 +23,12 @@ reduction.
 import math
 import warnings
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from .exceptions import ShapeMismatch
-from .numerics import NEG_INF, star_log_prob
+from .numerics import star_log_prob
 from .vocab import Vocab, validate_transcript
 from .wfst import EPSILON, Arc, ArcKind, Wfst
 
@@ -67,14 +71,17 @@ def build_transcript_graph(vocab: Vocab, tokens: Sequence[int]) -> Wfst:
     return Wfst(num_states=u_len + 2, start=0, final=final, arcs=arcs)
 
 
-def build_ws_transcript_graph(vocab: Vocab, tokens: Sequence[int], penalties: PenaltyConfig) -> Wfst:
+def build_ws_transcript_graph(vocab: Vocab, tokens: Sequence[int],
+                              penalties: Optional[PenaltyConfig]) -> Wfst:
     """Compact weakly supervised transcript graph.
 
     Every chain state carries a star self-loop (weight lambda2); every token
-    arc gets a parallel star bypass arc (weight lambda1). The result is cyclic
-    and therefore export-only: topo_sort rejects it by design.
+    arc gets a parallel star bypass arc (weight lambda1). ``None`` penalties
+    mean ``PenaltyConfig()``. The result is cyclic and therefore export-only:
+    topo_sort rejects it by design.
     """
     validate_transcript(vocab, tokens)
+    penalties = penalties_for("wst", penalties)
     u_len = len(tokens)
     star = vocab.star_id
     arcs: List[Arc] = []
@@ -103,49 +110,42 @@ def _check_tensor(vocab: Vocab, tokens: Sequence[int], logp) -> np.ndarray:
     return lp
 
 
+def penalties_for(criterion: str, penalties: Optional[PenaltyConfig] = None) -> Optional[PenaltyConfig]:
+    """The bypass penalties a criterion trains with; None means no bypass arcs.
+
+    ``"rnnt"`` has none. ``"wst"`` uses ``penalties``, or ``PenaltyConfig()``
+    when they are not given.
+    """
+    if criterion == "rnnt":
+        return None
+    if criterion == "wst":
+        return PenaltyConfig() if penalties is None else penalties
+    raise ValueError(f"criterion must be 'rnnt' or 'wst', got {criterion!r}")
+
+
 def build_rnnt_lattice(vocab: Vocab, tokens: Sequence[int], logp) -> Wfst:
-    """Standard transducer training lattice.
+    """Standard transducer training lattice: the grid with no bypass arcs."""
+    return _grid_lattice(vocab, tokens, logp, None)
+
+
+def build_wst_lattice(vocab: Vocab, tokens: Sequence[int], logp,
+                      penalties: Optional[PenaltyConfig]) -> Wfst:
+    """Weakly supervised lattice; ``None`` penalties mean ``PenaltyConfig()``."""
+    return _grid_lattice(vocab, tokens, logp, penalties_for("wst", penalties))
+
+
+def _grid_lattice(vocab: Vocab, tokens: Sequence[int], logp,
+                  penalties: Optional[PenaltyConfig]) -> Wfst:
+    """Training lattice over the T x (U+1) grid, with bypass twins iff penalties are given.
 
     Token arcs (t,u)->(t,u+1) emit the next transcript token without advancing
     time; blank arcs (t,u)->(t+1,u) consume a frame. A mandatory final blank
     leads from (T-1, U) to the pre-final state, followed by a zero-weight
-    epsilon arc into the final state.
-    """
-    validate_transcript(vocab, tokens)
-    lp = _check_tensor(vocab, tokens, logp)
-    t_len = lp.shape[0]
-    u_len = len(tokens)
-    cols = u_len + 1
-
-    def sid(t: int, u: int) -> int:
-        return t * cols + u
-
-    pre_final = t_len * cols
-    final = pre_final + 1
-    blank = vocab.blank_id
-    arcs: List[Arc] = []
-    for t in range(t_len):
-        for u in range(cols):
-            if u < u_len:
-                tok = int(tokens[u])
-                arcs.append(Arc(sid(t, u), sid(t, u + 1), tok, tok, float(lp[t, u, tok]),
-                                ArcKind.TOKEN, frame=t, position=u))
-            if t < t_len - 1:
-                arcs.append(Arc(sid(t, u), sid(t + 1, u), blank, EPSILON, float(lp[t, u, blank]),
-                                ArcKind.BLANK, frame=t, position=u))
-    arcs.append(Arc(sid(t_len - 1, u_len), pre_final, blank, EPSILON,
-                    float(lp[t_len - 1, u_len, blank]), ArcKind.BLANK, frame=t_len - 1, position=u_len))
-    arcs.append(Arc(pre_final, final, EPSILON, EPSILON, 0.0, ArcKind.FINAL))
-    return Wfst(num_states=final + 1, start=0, final=final, arcs=arcs)
-
-
-def build_wst_lattice(vocab: Vocab, tokens: Sequence[int], logp, penalties: PenaltyConfig) -> Wfst:
-    """Weakly supervised lattice: the standard grid plus star bypass twins.
-
-    Each token arc gets a parallel token-bypass arc (star weight + lambda1);
-    each non-terminating blank arc gets a parallel blank-bypass arc (star
-    weight + lambda2). The star weight at (t, u) is the log of the average
-    non-blank probability of that row. The terminating blank has no twin.
+    epsilon arc into the final state. With penalties, each token arc gets a
+    parallel token-bypass arc (star weight + lambda1) and each non-terminating
+    blank arc a parallel blank-bypass arc (star weight + lambda2). The star
+    weight at (t, u) is the log of the average non-blank probability of that
+    row. The terminating blank has no twin.
     """
     validate_transcript(vocab, tokens)
     lp = _check_tensor(vocab, tokens, logp)
@@ -160,31 +160,26 @@ def build_wst_lattice(vocab: Vocab, tokens: Sequence[int], logp, penalties: Pena
     final = pre_final + 1
     blank = vocab.blank_id
     star = vocab.star_id
+    star_w = star_log_prob(lp[..., blank], vocab.size)
     arcs: List[Arc] = []
     for t in range(t_len):
         for u in range(cols):
-            star_w = star_log_prob(float(lp[t, u, blank]), vocab.size)
             if u < u_len:
                 tok = int(tokens[u])
                 arcs.append(Arc(sid(t, u), sid(t, u + 1), tok, tok, float(lp[t, u, tok]),
                                 ArcKind.TOKEN, frame=t, position=u))
-                arcs.append(Arc(sid(t, u), sid(t, u + 1), star, star,
-                                _add_penalty(star_w, penalties.lambda1),
-                                ArcKind.TOKEN_BYPASS, frame=t, position=u))
+                if penalties is not None:
+                    arcs.append(Arc(sid(t, u), sid(t, u + 1), star, star,
+                                    float(star_w[t, u] + penalties.lambda1),
+                                    ArcKind.TOKEN_BYPASS, frame=t, position=u))
             if t < t_len - 1:
                 arcs.append(Arc(sid(t, u), sid(t + 1, u), blank, EPSILON, float(lp[t, u, blank]),
                                 ArcKind.BLANK, frame=t, position=u))
-                arcs.append(Arc(sid(t, u), sid(t + 1, u), star, star,
-                                _add_penalty(star_w, penalties.lambda2),
-                                ArcKind.BLANK_BYPASS, frame=t, position=u))
+                if penalties is not None:
+                    arcs.append(Arc(sid(t, u), sid(t + 1, u), star, star,
+                                    float(star_w[t, u] + penalties.lambda2),
+                                    ArcKind.BLANK_BYPASS, frame=t, position=u))
     arcs.append(Arc(sid(t_len - 1, u_len), pre_final, blank, EPSILON,
                     float(lp[t_len - 1, u_len, blank]), ArcKind.BLANK, frame=t_len - 1, position=u_len))
     arcs.append(Arc(pre_final, final, EPSILON, EPSILON, 0.0, ArcKind.FINAL))
     return Wfst(num_states=final + 1, start=0, final=final, arcs=arcs)
-
-
-def _add_penalty(star_w: float, lam: float) -> float:
-    # -inf + -inf must stay -inf, never NaN
-    if star_w == NEG_INF or lam == NEG_INF:
-        return NEG_INF
-    return star_w + lam

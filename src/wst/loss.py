@@ -1,11 +1,12 @@
 """Training criteria: standard transducer loss and its weakly supervised variant.
 
 Both losses are the negative log total weight of the corresponding training
-lattice. The hot path does not materialize arc objects: it runs the
-forward-backward recurrence directly on the T x (U+1) grid, which is
-mathematically identical to ``wfst.total_weight`` on the built lattice (the
-test suite asserts equality against both the lattice route and exhaustive
-path enumeration).
+lattice, and one kernel computes both: the standard loss is the weakly
+supervised one without bypass arcs, selected by ``penalties is None``. The
+hot path does not materialize arc objects: it runs the forward-backward
+recurrence directly on the T x (U+1) grid, which is mathematically identical
+to ``wfst.total_weight`` on the built lattice (the test suite asserts
+equality against both the lattice route and exhaustive path enumeration).
 
 The recurrence runs as a wavefront. Cell (t, u) depends only on (t, u-1) and
 (t-1, u), so every cell of an anti-diagonal d = t + u depends only on the
@@ -27,13 +28,12 @@ dense sensitivity tensor is built. The raw log-probability-level gradient
 (plain occupancy accumulation) is available via ``grad_wrt="logprobs"``.
 """
 
-import math
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .exceptions import NoPath, ShapeMismatch, WstError
-from .graphs import PenaltyConfig
+from .exceptions import NoPath, ShapeMismatch
+from .graphs import PenaltyConfig, penalties_for
 from .numerics import NEG_INF, star_log_prob
 from .vocab import Vocab, validate_transcript
 
@@ -45,29 +45,6 @@ def log_softmax(logits) -> np.ndarray:
     shifted = z - m
     shifted -= np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     return shifted
-
-
-def star_logprob(row) -> float:
-    """Log of the average non-blank probability of one normalized row.
-
-    row[0] is the blank log-probability; the result is
-    log((1 - p_blank) / (|V| - 1)), -inf when blank takes all the mass.
-    """
-    r = np.asarray(row, dtype=float)
-    if r.ndim != 1 or r.shape[0] < 2:
-        raise ShapeMismatch("expected one probability row of length >= 2")
-    return star_log_prob(float(r[0]), r.shape[0])
-
-
-def _star_rows(blank_lp: np.ndarray, vocab_size: int) -> np.ndarray:
-    """Vectorized star log-weight from blank log-probabilities (stable log1mexp)."""
-    b = np.minimum(blank_lp, 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        near = np.log(-np.expm1(b))
-        far = np.log1p(-np.exp(b))
-        out = np.where(b > math.log(0.5), near, far)
-    out = np.where(b >= 0.0, NEG_INF, out)
-    return out - math.log(vocab_size - 1)
 
 
 def _skew(plane: np.ndarray, diags: int, col_offset: int, width: int) -> np.ndarray:
@@ -85,13 +62,14 @@ def _skew(plane: np.ndarray, diags: int, col_offset: int, width: int) -> np.ndar
 def _grid_loss_grad(
     lp: np.ndarray,
     ys: np.ndarray,
-    use_star: bool,
-    lambda1: float,
-    lambda2: float,
+    penalties: Optional[PenaltyConfig],
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Forward-backward over the (t, u) grid for a batch of equal-shape items.
 
     lp: [B, T, U+1, V] log-probabilities; ys: [B, U] token ids, none of them 0.
+    With ``penalties`` None the grid has no bypass arcs and no star weight is
+    computed; otherwise each arc weight is the log-sum of the arc and its
+    bypass twin.
     Returns (log total weight [B], d_blank [B, T, U+1], d_tok [B, T, U],
     idx [B, T, U, 1]): the sensitivity d(log total)/d(lp) is d_blank in the
     blank column, d_tok in the target column idx, and zero elsewhere.
@@ -102,15 +80,14 @@ def _grid_loss_grad(
     idx = np.broadcast_to(ys[:, None, :, None], (b_sz, t_len, u_len, 1))
     tok = np.take_along_axis(lp[:, :, :u_len, :], idx, axis=-1)[..., 0]
 
-    if use_star:
-        star = _star_rows(blank, v_size)  # [B, T, U+1]
-        star1 = star[:, :, :u_len] + lambda1 if lambda1 != NEG_INF else np.full_like(tok, NEG_INF)
-        star2 = star + lambda2 if lambda2 != NEG_INF else np.full_like(blank, NEG_INF)
-        vert = np.logaddexp(tok, star1)
-        horiz = np.logaddexp(blank, star2)
-    else:
+    if penalties is None:
         vert = tok
         horiz = blank
+    else:
+        # star is finite or -inf and lambda is never +inf, so no sum is NaN
+        star = star_log_prob(blank, v_size)  # [B, T, U+1]
+        vert = np.logaddexp(tok, star[:, :, :u_len] + penalties.lambda1)
+        horiz = np.logaddexp(blank, star + penalties.lambda2)
 
     # Skewed planes. Alpha and beta carry a -inf column on each side of the
     # U+1 cells (cell u at column u+1); vs has one at each end of the U token
@@ -152,7 +129,7 @@ def _grid_loss_grad(
         np.exp(alpha[:, t_len - 1, u_len] + term - tot[:, 0, 0]),
     )
 
-    if use_star:
+    if penalties is not None:
         with np.errstate(invalid="ignore"):
             gamma_tok = np.where(gamma_vert > 0.0, gamma_vert * np.exp(tok - vert), 0.0)
             gamma_tok_byp = gamma_vert - gamma_tok
@@ -169,7 +146,7 @@ def _grid_loss_grad(
     d_blank[:, : t_len - 1, :] += gamma_blank
     d_blank[:, t_len - 1, u_len] += gamma_term
 
-    if use_star:
+    if penalties is not None:
         gamma_star = np.zeros((b_sz, t_len, cols))
         gamma_star[:, :, :u_len] += gamma_tok_byp
         gamma_star[:, : t_len - 1, :] += gamma_blank_byp
@@ -237,25 +214,23 @@ def _target_ids(ys, v_size: int) -> np.ndarray:
         raise
 
 
-def _loss_and_grad(z, ys, use_star, penalties, grad_wrt) -> Tuple[np.ndarray, np.ndarray]:
+def _loss_and_grad(z, ys, penalties, grad_wrt) -> Tuple[np.ndarray, np.ndarray]:
     """Validated log total weight [B] and gradient for a [B, T, U+1, V] batch."""
     if grad_wrt not in ("logits", "logprobs"):
         raise ValueError(f"grad_wrt must be 'logits' or 'logprobs', got {grad_wrt!r}")
     _check_grid(z, ys)
     lp = log_softmax(z)
-    lam1 = penalties.lambda1 if penalties is not None else 0.0
-    lam2 = penalties.lambda2 if penalties is not None else 0.0
-    total, *planes = _grid_loss_grad(lp, ys, use_star, lam1, lam2)
+    total, *planes = _grid_loss_grad(lp, ys, penalties)
     grad = _logit_grad(lp, *planes) if grad_wrt == "logits" else _logprob_grad(lp, *planes)
     return total, grad
 
 
-def _single_loss(logits, tokens, use_star, penalties, grad_wrt) -> Tuple[float, np.ndarray]:
+def _single_loss(logits, tokens, penalties, grad_wrt) -> Tuple[float, np.ndarray]:
     z = np.asarray(logits, dtype=float)
     if z.ndim != 3:
         raise ShapeMismatch(f"expected a [T][U+1][|V|] logit tensor, got {z.ndim} dimensions")
     ys = _target_ids(list(tokens), z.shape[-1]).reshape(1, -1)
-    total, grad = _loss_and_grad(z[None], ys, use_star, penalties, grad_wrt)
+    total, grad = _loss_and_grad(z[None], ys, penalties, grad_wrt)
     if total[0] == NEG_INF:
         raise NoPath("lattice admits no accepting path")
     return float(-total[0]), grad[0]
@@ -267,22 +242,22 @@ def rnnt_loss(logits, tokens: Sequence[int], grad_wrt: str = "logits") -> Tuple[
     ``logits`` is a [T][U+1][|V|] tensor of unnormalized scores; row-wise
     log-softmax is applied internally.
     """
-    return _single_loss(logits, tokens, use_star=False, penalties=None, grad_wrt=grad_wrt)
+    return _single_loss(logits, tokens, None, grad_wrt)
 
 
 def wst_loss(
     logits,
     tokens: Sequence[int],
-    penalties: PenaltyConfig,
+    penalties: Optional[PenaltyConfig],
     grad_wrt: str = "logits",
 ) -> Tuple[float, np.ndarray]:
     """Weakly supervised transducer loss over the bypass-augmented lattice.
 
-    With both penalties at -inf this reduces exactly (bit-for-bit) to
-    ``rnnt_loss``. For finite penalties the loss is strictly below the
+    ``None`` penalties mean ``PenaltyConfig()``. With both penalties at -inf
+    this reduces exactly (bit-for-bit) to ``rnnt_loss``. For finite penalties the loss is strictly below the
     standard loss, since the path set is a strict superset.
     """
-    return _single_loss(logits, tokens, use_star=True, penalties=penalties, grad_wrt=grad_wrt)
+    return _single_loss(logits, tokens, penalties_for("wst", penalties), grad_wrt)
 
 
 def batched_grid_loss(
@@ -299,52 +274,13 @@ def batched_grid_loss(
     batch axis). Inputs are validated as in the single calls: non-finite
     logits or mismatched shapes raise ShapeMismatch, and a blank or
     out-of-vocabulary target raises the VocabError of ``validate_transcript``.
+    ``penalties`` are ignored for ``"rnnt"``; for ``"wst"``, None means
+    ``PenaltyConfig()``.
     """
     z = np.asarray(logits, dtype=float)
     if z.ndim != 4:
         raise ShapeMismatch(f"expected a [B][T][U+1][|V|] tensor, got {z.ndim} dimensions")
-    use_star = _criterion_flag(criterion)
-    total, grad = _loss_and_grad(z, _target_ids(ys, z.shape[-1]), use_star, penalties, grad_wrt)
+    pen = penalties_for(criterion, penalties)
+    total, grad = _loss_and_grad(z, _target_ids(ys, z.shape[-1]), pen, grad_wrt)
     return -total, grad
 
-
-def _criterion_flag(criterion: str) -> bool:
-    if criterion == "rnnt":
-        return False
-    if criterion == "wst":
-        return True
-    raise ValueError(f"criterion must be 'rnnt' or 'wst', got {criterion!r}")
-
-
-class BatchItemError(WstError):
-    """Wraps a per-item failure inside batch_loss with the item index."""
-
-    def __init__(self, index: int, cause: Exception):
-        self.index = index
-        self.cause = cause
-        super().__init__(f"item {index}: {cause}")
-
-
-def batch_loss(
-    items: Sequence[Tuple[np.ndarray, Sequence[int]]],
-    criterion: str = "rnnt",
-    penalties: Optional[PenaltyConfig] = None,
-    grad_wrt: str = "logits",
-) -> Tuple[List[float], List[np.ndarray], float]:
-    """Per-item losses and gradients plus the arithmetic mean loss.
-
-    Items are independent; results are identical to per-item calls regardless
-    of batch order. Failures carry the offending item index.
-    """
-    use_star = _criterion_flag(criterion)
-    losses: List[float] = []
-    grads: List[np.ndarray] = []
-    for i, (logits, tokens) in enumerate(items):
-        try:
-            loss, grad = _single_loss(logits, tokens, use_star, penalties, grad_wrt)
-        except WstError as exc:
-            raise BatchItemError(i, exc) from exc
-        losses.append(loss)
-        grads.append(grad)
-    mean = sum(losses) / len(losses) if losses else 0.0
-    return losses, grads, mean

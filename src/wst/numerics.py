@@ -1,4 +1,4 @@
-"""Log-domain scalar primitives.
+"""Log-domain primitives.
 
 All probabilities in this package live in natural-log space, with -inf as
 the semiring zero (a disabled arc / empty sum). These helpers never produce
@@ -6,6 +6,8 @@ NaN for inputs in the extended reals.
 """
 
 import math
+
+import numpy as np
 
 NEG_INF = float("-inf")
 
@@ -33,19 +35,24 @@ def log_sum(values) -> float:
     return m + math.log(sum(math.exp(v - m) for v in vals))
 
 
-def log1mexp(b: float) -> float:
-    """log(1 - exp(b)) for b <= 0, switching formulas at log(1/2) for stability."""
-    if b >= 0.0:
-        return NEG_INF
-    if b > _LOG_HALF:
-        return math.log(-math.expm1(b))
-    return math.log1p(-math.exp(b))
+def log1mexp(b):
+    """log(1 - exp(b)) for b <= 0, switching formulas at log(1/2) for stability.
+
+    Elementwise on arrays; a scalar gives a float. -inf where b >= 0.
+    """
+    b = np.asarray(b, dtype=float)
+    c = np.minimum(b, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.where(c > _LOG_HALF, np.log(-np.expm1(c)), np.log1p(-np.exp(c)))
+    out = np.where(c >= 0.0, NEG_INF, out)
+    return float(out) if out.ndim == 0 else out
 
 
-def star_log_prob(log_p_blank: float, vocab_size: int) -> float:
+def star_log_prob(log_p_blank, vocab_size: int):
     """Log of the average non-blank probability: log((1 - p_blank) / (|V| - 1)).
 
-    Returns -inf when blank takes all the mass.
+    Elementwise on an array of blank log-probabilities. Returns -inf where
+    blank takes all the mass.
     """
     if vocab_size < 2:
         raise ValueError("vocab_size must be at least 2")

@@ -8,7 +8,7 @@ not share their machinery beyond the lattice builders themselves.
 from typing import List, Optional, Sequence, Tuple
 
 from .exceptions import TooManyPaths
-from .graphs import PenaltyConfig, build_rnnt_lattice, build_wst_lattice
+from .graphs import PenaltyConfig, build_rnnt_lattice, build_wst_lattice, penalties_for
 from .loss import log_softmax
 from .numerics import log_sum
 from .vocab import Vocab
@@ -58,13 +58,12 @@ def brute_force_loss(
     max_paths: int = MAX_PATHS,
 ) -> float:
     """Loss by explicit summation over every enumerated alignment path."""
+    pen = penalties_for(criterion, penalties)
     lp = log_softmax(logits)
     vocab = Vocab(lp.shape[-1])
-    if criterion == "rnnt":
+    if pen is None:
         g = build_rnnt_lattice(vocab, tokens, lp)
-    elif criterion == "wst":
-        g = build_wst_lattice(vocab, tokens, lp, penalties or PenaltyConfig())
     else:
-        raise ValueError(f"criterion must be 'rnnt' or 'wst', got {criterion!r}")
+        g = build_wst_lattice(vocab, tokens, lp, pen)
     paths = enumerate_paths(g, max_paths=max_paths)
     return -log_sum(w for _, w in paths)

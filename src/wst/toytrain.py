@@ -21,7 +21,7 @@ import numpy as np
 
 from .corruption import CorruptionSpec, corrupt_dataset, edit_counts, measure_corruption
 from .exceptions import Divergence, ShapeMismatch
-from .graphs import PenaltyConfig
+from .graphs import PenaltyConfig, penalties_for
 from .loss import batched_grid_loss
 from .vocab import Vocab
 
@@ -70,8 +70,7 @@ class ExperimentConfig:
             raise ValueError("epochs must be >= 1")
         if self.learning_rate <= 0:
             raise ValueError("learning rate must be > 0")
-        if self.criterion not in ("rnnt", "wst"):
-            raise ValueError(f"criterion must be 'rnnt' or 'wst', got {self.criterion!r}")
+        penalties_for(self.criterion, self.penalties)  # rejects an unknown criterion
 
 
 @dataclass
@@ -277,8 +276,7 @@ def run_experiment(config: ExperimentConfig) -> Dict:
 
 
 def config_to_dict(config: ExperimentConfig) -> Dict:
-    d = dataclasses.asdict(config)
-    return d
+    return dataclasses.asdict(config)
 
 
 def config_from_dict(d: Dict) -> ExperimentConfig:

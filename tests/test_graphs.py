@@ -6,14 +6,16 @@ import pytest
 
 from wst.exceptions import CyclicGraph, ShapeMismatch
 from wst.graphs import (
+    LN_HALF,
     PenaltyConfig,
     build_rnnt_lattice,
     build_transcript_graph,
     build_ws_transcript_graph,
     build_wst_lattice,
+    penalties_for,
 )
 from wst.loss import log_softmax
-from wst.numerics import NEG_INF
+from wst.numerics import NEG_INF, star_log_prob
 from wst.oracle import enumerate_paths
 from wst.vocab import Vocab
 from wst.wfst import ArcKind, topo_sort, total_weight
@@ -152,6 +154,55 @@ class TestWstLattice:
         into_pre_final = [a for a in g.arcs if a.dst == pre_final]
         assert len(into_pre_final) == 1
         assert into_pre_final[0].kind == ArcKind.BLANK
+
+
+BYPASS_KINDS = (ArcKind.TOKEN_BYPASS, ArcKind.BLANK_BYPASS)
+
+
+class TestOneGrid:
+    """The standard lattice is the weakly supervised one without bypass arcs."""
+
+    @pytest.mark.parametrize("t_len,u_len", [(1, 0), (1, 2), (3, 0), (4, 3)])
+    def test_rnnt_is_wst_without_bypass(self, t_len, u_len):
+        rng = np.random.default_rng(t_len * 10 + u_len)
+        lp = log_softmax(rng.standard_normal((t_len, u_len + 1, 5)))
+        tokens = [int(x) for x in rng.integers(1, 5, size=u_len)]
+        g_std = build_rnnt_lattice(Vocab(5), tokens, lp)
+        g_ws = build_wst_lattice(Vocab(5), tokens, lp, PenaltyConfig())
+        kept = [a for a in g_ws.arcs if a.kind not in BYPASS_KINDS]
+        assert kept == list(g_std.arcs)
+        assert (g_ws.num_states, g_ws.start, g_ws.final) == (g_std.num_states, g_std.start, g_std.final)
+
+    @pytest.mark.parametrize("lams", [(LN_HALF, -1.3), (0.0, 0.0), (NEG_INF, -0.2), (NEG_INF, NEG_INF)])
+    def test_bypass_weight_is_star_plane_plus_lambda(self, lams):
+        z = np.random.default_rng(3).standard_normal((4, 3, 6))
+        z[1, :, 0] += 60.0  # blank takes all the mass: star weight -inf
+        lp = log_softmax(z)
+        star = star_log_prob(lp[..., 0], 6)
+        g = build_wst_lattice(Vocab(6), [2, 5], lp, PenaltyConfig(*lams))
+        lam = {ArcKind.TOKEN_BYPASS: lams[0], ArcKind.BLANK_BYPASS: lams[1]}
+        bypass = [a for a in g.arcs if a.kind in BYPASS_KINDS]
+        assert len(bypass) == 4 * 2 + 3 * 3
+        for a in bypass:
+            want = star[a.frame, a.position] + lam[a.kind]
+            assert a.weight == want
+            assert a.label == a.olabel == Vocab(6).star_id
+
+    def test_penalties_for(self):
+        p = PenaltyConfig(-0.3, -0.7)
+        assert penalties_for("rnnt") is None
+        assert penalties_for("rnnt", p) is None
+        assert penalties_for("wst", p) is p
+        assert penalties_for("wst") == PenaltyConfig()
+        with pytest.raises(ValueError, match="criterion"):
+            penalties_for("ctc", p)
+
+    def test_none_penalties_mean_default(self):
+        lp = uniform_lp(2, 1, 3)
+        assert build_wst_lattice(Vocab(3), [1], lp, None) == build_wst_lattice(
+            Vocab(3), [1], lp, PenaltyConfig())
+        assert build_ws_transcript_graph(Vocab(3), [1], None) == build_ws_transcript_graph(
+            Vocab(3), [1], PenaltyConfig())
 
 
 class TestPathCounts:

@@ -5,19 +5,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from wst.exceptions import BlankInTranscript, OutOfVocabulary, ShapeMismatch
-from wst.graphs import LN_HALF, PenaltyConfig, build_rnnt_lattice, build_wst_lattice
-from wst.loss import (
-    BatchItemError,
-    _grid_loss_grad,
-    _star_rows,
-    batch_loss,
-    batched_grid_loss,
-    log_softmax,
-    rnnt_loss,
-    star_logprob,
-    wst_loss,
-)
-from wst.numerics import NEG_INF
+from wst.graphs import LN_HALF, PenaltyConfig, build_rnnt_lattice, build_wst_lattice, penalties_for
+from wst.loss import _grid_loss_grad, batched_grid_loss, log_softmax, rnnt_loss, wst_loss
+from wst.numerics import NEG_INF, star_log_prob
+from wst.numerics import star_log_prob as _star_rows  # the name reference_grid_loss uses
 from wst.oracle import brute_force_loss
 from wst.vocab import Vocab
 from wst.wfst import arc_posteriors, total_weight
@@ -52,20 +43,6 @@ class TestLogSoftmax:
         out = log_softmax(rng.standard_normal((4, 3, 5)))
         sums = np.log(np.exp(out).sum(-1))
         assert np.abs(sums).max() <= 1e-12
-
-
-class TestStarLogprob:
-    def test_uniform(self):
-        row = np.full(3, math.log(1 / 3))
-        assert star_logprob(row) == pytest.approx(math.log(1 / 3), abs=1e-12)
-
-    def test_derived(self):
-        row = np.log([0.9, 0.025, 0.025, 0.025, 0.025])
-        assert star_logprob(row) == pytest.approx(math.log(0.025), abs=1e-12)
-
-    def test_all_blank(self):
-        row = np.asarray([0.0, NEG_INF, NEG_INF])
-        assert star_logprob(row) == NEG_INF
 
 
 class TestRnntLoss:
@@ -203,36 +180,6 @@ class TestGradients:
 
 
 class TestBatchLoss:
-    def test_batch_of_one(self):
-        rng = np.random.default_rng(12)
-        z, toks = random_instance(rng, 2, 1, 3)
-        losses, grads, mean = batch_loss([(z, toks)])
-        single = rnnt_loss(z, toks)
-        assert losses == [single[0]]
-        assert np.array_equal(grads[0], single[1])
-        assert mean == single[0]
-
-    def test_two_identical_items(self):
-        rng = np.random.default_rng(13)
-        z, toks = random_instance(rng, 2, 2, 4)
-        losses, _, mean = batch_loss([(z, toks), (z, toks)])
-        assert losses[0] == losses[1] == mean
-
-    def test_permutation_invariance(self):
-        rng = np.random.default_rng(14)
-        items = [random_instance(rng, 2, u, 4) for u in (0, 1, 2)]
-        a = batch_loss(items)
-        b = batch_loss(items[::-1])
-        assert a[0] == b[0][::-1]
-        for ga, gb in zip(a[1], b[1][::-1]):
-            assert np.array_equal(ga, gb)
-
-    def test_item_error_carries_index(self):
-        z = np.zeros((2, 2, 3))
-        with pytest.raises(BatchItemError) as exc:
-            batch_loss([(z, [1]), (z, [1, 2])])
-        assert exc.value.index == 1
-
     def test_batched_grid_matches_single_calls(self):
         rng = np.random.default_rng(15)
         zs = rng.standard_normal((3, 2, 2, 4))
@@ -242,6 +189,34 @@ class TestBatchLoss:
             l, g = wst_loss(zs[i], list(ys[i]), NO_PENALTY)
             assert losses[i] == l
             assert np.array_equal(grads[i], g)
+
+
+class TestWstWithoutPenalties:
+    """``None`` penalties mean ``PenaltyConfig()`` on every wst entry point."""
+
+    Z = np.random.default_rng(0).standard_normal((1, 3, 3, 5))
+
+    def test_entry_points_agree(self):
+        z, toks = self.Z, [1, 2]
+        expected = wst_loss(z[0], toks, PenaltyConfig())[0]
+        values = [
+            batched_grid_loss(z, np.asarray([toks]), "wst", None)[0][0],
+            wst_loss(z[0], toks, None)[0],
+            -total_weight(build_wst_lattice(Vocab(5), toks, log_softmax(z[0]), None)),
+            brute_force_loss(z[0], toks, "wst"),
+        ]
+        for v in values:
+            assert abs(v - expected) <= 1e-10
+
+    def test_rnnt_ignores_penalties(self):
+        ys = np.asarray([[1, 2]])
+        a = batched_grid_loss(self.Z, ys, "rnnt", None)
+        b = batched_grid_loss(self.Z, ys, "rnnt", PenaltyConfig(0.0, 0.0))
+        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+
+    def test_unknown_criterion(self):
+        with pytest.raises(ValueError, match="criterion"):
+            batched_grid_loss(self.Z, [[1, 2]], "ctc")
 
 
 def reference_grid_loss(logits, ys, use_star, lambda1, lambda2, grad_wrt):
@@ -364,7 +339,7 @@ class TestWavefrontKernel:
         ys = rng.integers(1, v_size, size=(b_sz, u_len))
         pen = PenaltyConfig(*lams)
         for criterion, use_star in (("rnnt", False), ("wst", True)):
-            total, *_ = _grid_loss_grad(log_softmax(z), ys, use_star, *lams)
+            total, *_ = _grid_loss_grad(log_softmax(z), ys, penalties_for(criterion, pen))
             for grad_wrt in ("logits", "logprobs"):
                 ref_total, ref_loss, ref_grad = reference_grid_loss(z, ys, use_star, *lams, grad_wrt)
                 assert np.array_equal(total, ref_total)
@@ -375,7 +350,7 @@ class TestWavefrontKernel:
     def test_star_underflow_reaches_kernel(self):
         z = np.zeros((1, 2, 2, 4))
         z[..., 0] = 60.0
-        assert np.all(_star_rows(log_softmax(z)[..., 0], 4) == NEG_INF)
+        assert np.all(star_log_prob(log_softmax(z)[..., 0], 4) == NEG_INF)
 
 
 class TestBatchedValidation:

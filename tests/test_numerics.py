@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -93,3 +94,47 @@ def test_star_log_prob_derived():
 
 def test_star_log_prob_blank_takes_all():
     assert star_log_prob(0.0, 3) == NEG_INF
+
+
+LN_HALF = math.log(0.5)
+EDGE_VALUES = [0.0, -0.0, -1e-300, float(np.nextafter(LN_HALF, 0.0)), LN_HALF,
+               float(np.nextafter(LN_HALF, -1.0)), -745.0, NEG_INF, 0.5]
+
+
+def math_log1mexp(b):
+    if b >= 0.0:
+        return NEG_INF
+    if b > LN_HALF:
+        return math.log(-math.expm1(b))
+    return math.log1p(-math.exp(b))
+
+
+def assert_close_or_neg_inf(got, want):
+    if want == NEG_INF:
+        assert got == NEG_INF
+    else:
+        assert math.isclose(got, want, rel_tol=1e-15, abs_tol=0.0), (got, want)
+
+
+def test_log1mexp_array_matches_math_formulas():
+    out = log1mexp(np.asarray(EDGE_VALUES))
+    assert isinstance(out, np.ndarray) and out.shape == (len(EDGE_VALUES),)
+    for b, got in zip(EDGE_VALUES, out):
+        assert_close_or_neg_inf(float(got), math_log1mexp(b))
+
+
+def test_star_log_prob_array_matches_math_formulas():
+    v_size = 7
+    out = star_log_prob(np.asarray(EDGE_VALUES).reshape(3, 3), v_size)
+    assert out.shape == (3, 3)
+    for b, got in zip(EDGE_VALUES, out.ravel()):
+        want = math_log1mexp(b) - math.log(v_size - 1)
+        assert_close_or_neg_inf(float(got), want)
+
+
+@pytest.mark.parametrize("b", EDGE_VALUES)
+def test_scalar_input_gives_python_float(b):
+    for x in (b, np.float64(b)):
+        assert type(log1mexp(x)) is float
+        assert type(star_log_prob(x, 4)) is float
+        assert_close_or_neg_inf(log1mexp(x), math_log1mexp(b))

@@ -162,6 +162,10 @@ class TestTrain:
         with pytest.raises(ValueError):
             small_config(learning_rate=0.0)
 
+    def test_unknown_criterion_rejected(self):
+        with pytest.raises(ValueError, match="criterion"):
+            small_config(criterion="ctc")
+
 
 class TestGreedyDecode:
     def test_never_emits_blank_or_star(self):
