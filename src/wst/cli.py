@@ -67,7 +67,8 @@ def cmd_graph(args) -> int:
     tokens = _parse_tokens(args.tokens)
     vocab_size = args.vocab_size or max(tokens, default=1) + 1
     vocab = Vocab(vocab_size)
-    penalties = graphs.PenaltyConfig(args.lambda1, args.lambda2)
+    penalties = (graphs.PenaltyConfig(args.lambda1, args.lambda2)
+                 if args.type in ("wst", "ws-transcript") else None)
     if args.type in ("rnnt", "wst"):
         if args.tensor:
             tensor, kind = _load_tensor(args.tensor)
@@ -95,7 +96,7 @@ def cmd_graph(args) -> int:
 def cmd_loss(args) -> int:
     tokens = _parse_tokens(args.tokens)
     tensor, kind = _load_tensor(args.tensor)
-    penalties = graphs.PenaltyConfig(args.lambda1, args.lambda2)
+    penalties = graphs.PenaltyConfig(args.lambda1, args.lambda2) if args.criterion == "wst" else None
     grad_wrt = "logits" if kind == "logits" else "logprobs"
     if args.criterion == "rnnt":
         value, grad = loss.rnnt_loss(tensor, tokens, grad_wrt=grad_wrt)

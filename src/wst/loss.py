@@ -8,13 +8,16 @@ recurrence directly on the T x (U+1) grid, which is mathematically identical
 to ``wfst.total_weight`` on the built lattice (the test suite asserts
 equality against both the lattice route and exhaustive path enumeration).
 
-The recurrence runs as a wavefront. Cell (t, u) depends only on (t, u-1) and
-(t-1, u), so every cell of an anti-diagonal d = t + u depends only on the
-diagonal before it. The arc weights are stored skewed, cell (t, u) at
-(d, u) with -inf outside the grid, and alpha and beta each take T + U vector
-steps over whole diagonals. Every cell sees the same operands in the same
-order as a cell-by-cell loop (a missing predecessor is -inf, and
-``logaddexp(-inf, x) == x`` exactly), so the result is bit-identical to it.
+The recurrence is written once, in ``_sweep``, as a wavefront: cell (t, u)
+depends only on (t, u-1) and (t-1, u), so each anti-diagonal d = t + u is one
+vector step over arc weights stored skewed, cell (t, u) at (d, u), with -inf
+outside the grid. Alpha is the sweep from (0, 0), and beta is the same sweep
+on the grid reversed in both axes. The grid ends in a frame T whose only
+reachable cell is (T, U): the mandatory final blank is the one arc into it,
+with no bypass twin, so the log total weight is alpha at (T, U). Every cell
+sees the same operands as a cell-by-cell loop (``logaddexp(-inf, x) == x``,
+``x + 0.0 == x``, and IEEE ``+`` and ``logaddexp`` commute), so the result is
+bit-identical to one.
 
 Gradients are with respect to the logits by default: arc occupancies are
 routed through the log-softmax Jacobian, and bypass arcs additionally apply
@@ -59,6 +62,42 @@ def _skew(plane: np.ndarray, diags: int, col_offset: int, width: int) -> np.ndar
     return out
 
 
+def _sweep(vert: np.ndarray, horiz: np.ndarray) -> np.ndarray:
+    """Forward log scores of a grid lattice from (0, 0), one anti-diagonal per step.
+
+    vert [B, S, U] weighs the arcs (t, u) -> (t, u+1), horiz [B, S-1, U+1] the
+    arcs (t, u) -> (t+1, u); returns [B, S, U+1]. Skewed scores carry a -inf
+    column each side of the U+1 cells (cell u at column u+1), and vs one at each
+    end of the U vertical arcs, so vs[d, :-1] lines up an arc with the cell it enters.
+    """
+    b_sz, frames, u_len = vert.shape
+    cols, diags = u_len + 1, frames + u_len
+    vs = _skew(vert, diags, 1, cols + 1)
+    hs = _skew(horiz, diags, 0, cols)
+    a = np.full((diags, b_sz, cols + 2), NEG_INF)
+    a[0, :, 1] = 0.0
+    for d in range(1, diags):
+        prev = a[d - 1]
+        np.logaddexp(prev[:, :-2] + vs[d - 1, :, :-1], prev[:, 1:-1] + hs[d - 1],
+                     out=a[d, :, 1:-1])
+    t_ix = np.arange(frames)[:, None]
+    u_ix = np.arange(cols)[None, :]
+    return np.moveaxis(a[t_ix + u_ix, :, u_ix + 1], -1, 0)
+
+
+def _occupancy(alpha_src: np.ndarray, arc: np.ndarray, beta_dst: np.ndarray, total: np.ndarray) -> np.ndarray:
+    """Posterior arc occupancy exp(alpha + arc + beta - total); exactly 0 off every path."""
+    with np.errstate(invalid="ignore"):
+        log_g = alpha_src + arc + beta_dst
+        return np.where(log_g == NEG_INF, 0.0, np.exp(log_g - total[:, None, None]))
+
+
+def _plain_share(gamma: np.ndarray, plain: np.ndarray, arc: np.ndarray) -> np.ndarray:
+    """The part of occupancy ``gamma`` taken by the plain arc of a twin whose log-sum is ``arc``."""
+    with np.errstate(invalid="ignore"):
+        return np.where(gamma > 0.0, gamma * np.exp(plain - arc), 0.0)
+
+
 def _grid_loss_grad(
     lp: np.ndarray,
     ys: np.ndarray,
@@ -81,82 +120,37 @@ def _grid_loss_grad(
     tok = np.take_along_axis(lp[:, :, :u_len, :], idx, axis=-1)[..., 0]
 
     if penalties is None:
-        vert = tok
-        horiz = blank
+        vert, horiz = tok, blank.copy()
     else:
         # star is finite or -inf and lambda is never +inf, so no sum is NaN
         star = star_log_prob(blank, v_size)  # [B, T, U+1]
         vert = np.logaddexp(tok, star[:, :, :u_len] + penalties.lambda1)
         horiz = np.logaddexp(blank, star + penalties.lambda2)
+    # The grid ends in frame T, whose only reachable cell is (T, U): the
+    # mandatory final blank is the one arc out of frame T-1, with no twin.
+    horiz[:, -1, :] = NEG_INF
+    horiz[:, -1, -1] = blank[:, -1, -1]
+    vert_end = np.concatenate([vert, np.full((b_sz, 1, u_len), NEG_INF)], axis=1)
 
-    # Skewed planes. Alpha and beta carry a -inf column on each side of the
-    # U+1 cells (cell u at column u+1); vs has one at each end of the U token
-    # arcs, so vs[d, :-1] lines up vertical arcs with the cell they enter and
-    # vs[d, 1:] with the cell they leave. The last frame has no horizontal
-    # arc: leaving it out keeps the wavefront inside the grid.
-    diags = t_len + u_len
-    vs = _skew(vert, diags, 1, cols + 1)
-    hs = _skew(horiz[:, : t_len - 1], diags, 0, cols)
+    # beta is the forward pass of the reversed grid
+    alpha = _sweep(vert_end, horiz)  # [B, T+1, U+1]
+    beta = _sweep(vert_end[:, ::-1, ::-1], horiz[:, ::-1, ::-1])[:, ::-1, ::-1]
+    total = alpha[:, t_len, u_len]
+    gamma_vert = _occupancy(alpha[:, :t_len, :u_len], vert, beta[:, :t_len, 1:], total)
+    gamma_horiz = _occupancy(alpha[:, :t_len], horiz, beta[:, 1:], total)
+    if penalties is None:
+        return total, gamma_horiz, gamma_vert, idx
 
-    alpha_s = np.full((diags, b_sz, cols + 2), NEG_INF)
-    alpha_s[0, :, 1] = 0.0
-    for d in range(1, diags):
-        prev = alpha_s[d - 1]
-        np.logaddexp(prev[:, :-2] + vs[d - 1, :, :-1], prev[:, 1:-1] + hs[d - 1],
-                     out=alpha_s[d, :, 1:-1])
-
-    term = blank[:, t_len - 1, u_len]  # mandatory final blank, never bypassed
-    beta_s = np.full((diags, b_sz, cols + 2), NEG_INF)
-    beta_s[diags - 1, :, cols] = term
-    for d in range(diags - 2, -1, -1):
-        nxt = beta_s[d + 1]
-        np.logaddexp(vs[d, :, 1:] + nxt[:, 2:], hs[d] + nxt[:, 1:-1], out=beta_s[d, :, 1:-1])
-
-    t_ix = np.arange(t_len)[:, None]
-    u_ix = np.arange(cols)[None, :]
-    alpha = np.moveaxis(alpha_s[t_ix + u_ix, :, u_ix + 1], -1, 0)  # [B, T, U+1]
-    beta = np.moveaxis(beta_s[t_ix + u_ix, :, u_ix + 1], -1, 0)
-    total = alpha[:, t_len - 1, u_len] + term
-
-    tot = total[:, None, None]
-    with np.errstate(invalid="ignore"):
-        log_g_vert = alpha[:, :, :u_len] + vert + beta[:, :, 1:]
-        gamma_vert = np.where(log_g_vert == NEG_INF, 0.0, np.exp(log_g_vert - tot))
-        log_g_horiz = alpha[:, : t_len - 1, :] + horiz[:, : t_len - 1, :] + beta[:, 1:, :]
-        gamma_horiz = np.where(log_g_horiz == NEG_INF, 0.0, np.exp(log_g_horiz - tot))
-    gamma_term = np.where(
-        alpha[:, t_len - 1, u_len] == NEG_INF, 0.0,
-        np.exp(alpha[:, t_len - 1, u_len] + term - tot[:, 0, 0]),
-    )
-
-    if penalties is not None:
-        with np.errstate(invalid="ignore"):
-            gamma_tok = np.where(gamma_vert > 0.0, gamma_vert * np.exp(tok - vert), 0.0)
-            gamma_tok_byp = gamma_vert - gamma_tok
-            h = horiz[:, : t_len - 1, :]
-            gamma_blank = np.where(
-                gamma_horiz > 0.0, gamma_horiz * np.exp(blank[:, : t_len - 1, :] - h), 0.0
-            )
-            gamma_blank_byp = gamma_horiz - gamma_blank
-    else:
-        gamma_tok = gamma_vert
-        gamma_blank = gamma_horiz
-
-    d_blank = np.zeros((b_sz, t_len, cols))
-    d_blank[:, : t_len - 1, :] += gamma_blank
-    d_blank[:, t_len - 1, u_len] += gamma_term
-
-    if penalties is not None:
-        gamma_star = np.zeros((b_sz, t_len, cols))
-        gamma_star[:, :, :u_len] += gamma_tok_byp
-        gamma_star[:, : t_len - 1, :] += gamma_blank_byp
-        # d(star)/d(logp_blank) = -p_blank / (1 - p_blank); zero occupancy rows
-        # contribute nothing even where the factor would blow up.
-        p_blank = np.exp(blank)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            factor = p_blank / np.expm1(blank)  # = -p/(1-p)
-            d_blank += np.where(gamma_star > 0.0, gamma_star * factor, 0.0)
-
+    gamma_tok = _plain_share(gamma_vert, tok, vert)
+    gamma_blank = _plain_share(gamma_horiz, blank, horiz)
+    gamma_star = gamma_horiz - gamma_blank
+    gamma_star[:, :, :u_len] += gamma_vert - gamma_tok
+    # d(star)/d(logp_blank) = -p_blank / (1 - p_blank); zero occupancy rows
+    # contribute nothing even where the factor would blow up.
+    p_blank = np.exp(blank)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        factor = p_blank / np.expm1(blank)  # = -p/(1-p)
+        d_blank = gamma_blank + np.where(gamma_star > 0.0, gamma_star * factor, 0.0)
     return total, d_blank, gamma_tok, idx
 
 
@@ -205,13 +199,13 @@ def _check_grid(z: np.ndarray, ys: np.ndarray) -> None:
 
 
 def _target_ids(ys, v_size: int) -> np.ndarray:
-    """Target ids as an int array; an id too large for one is out of vocabulary."""
-    try:
-        return np.asarray(ys, dtype=int)
-    except OverflowError:
-        for row in np.atleast_2d(np.asarray(ys, dtype=object)):
+    """Target ids as an int array; a bool, non-integral or too large id is out of vocabulary."""
+    arr = np.asarray(ys)
+    if arr.dtype.kind != "i" and arr.size:
+        rows = np.atleast_2d(np.asarray(ys, dtype=object))
+        for row in rows.reshape(-1, rows.shape[-1]):
             validate_transcript(Vocab(max(v_size, 2)), row)
-        raise
+    return arr.astype(int, copy=False)
 
 
 def _loss_and_grad(z, ys, penalties, grad_wrt) -> Tuple[np.ndarray, np.ndarray]:

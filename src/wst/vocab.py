@@ -8,6 +8,8 @@ the end of every probability row, so it can never be produced by a softmax.
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .exceptions import BlankInTranscript, OutOfVocabulary, StarInTranscript
 
 BLANK_ID = 0
@@ -39,13 +41,19 @@ def validate_transcript(vocab: Vocab, tokens: Sequence[int]) -> None:
     """Check that every token is a real (non-blank, non-star) vocabulary symbol.
 
     Raises BlankInTranscript, StarInTranscript or OutOfVocabulary with the
-    offending position. Empty transcripts are legal.
+    offending position; a bool or a value that is not an integer is out of
+    vocabulary. Empty transcripts are legal.
     """
     for i, tok in enumerate(tokens):
-        tok = int(tok)
-        if tok == vocab.blank_id:
-            raise BlankInTranscript(i)
-        if tok == vocab.star_id:
-            raise StarInTranscript(i, tok)
-        if not vocab.is_real_token(tok):
+        try:
+            tok_id = int(tok)
+        except (TypeError, ValueError, OverflowError):
+            tok_id = None
+        if tok_id is None or tok_id != tok or isinstance(tok, (bool, np.bool_)):
             raise OutOfVocabulary(i, tok)
+        if tok_id == vocab.blank_id:
+            raise BlankInTranscript(i)
+        if tok_id == vocab.star_id:
+            raise StarInTranscript(i, tok_id)
+        if not vocab.is_real_token(tok_id):
+            raise OutOfVocabulary(i, tok_id)

@@ -10,7 +10,7 @@ is rejected by ``topo_sort`` and everything built on it.
 import heapq
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -197,19 +197,7 @@ def export_json(g: Wfst) -> str:
         "num_states": g.num_states,
         "start": g.start,
         "final": g.final,
-        "arcs": [
-            {
-                "src": a.src,
-                "dst": a.dst,
-                "label": a.label,
-                "olabel": a.olabel,
-                "weight": a.weight,
-                "kind": a.kind.value,
-                "frame": a.frame,
-                "position": a.position,
-            }
-            for a in g.arcs
-        ],
+        "arcs": [{**asdict(a), "kind": a.kind.value} for a in g.arcs],
     }
     return json.dumps(obj, indent=2)
 
@@ -217,17 +205,6 @@ def export_json(g: Wfst) -> str:
 def wfst_from_json(text: str) -> Wfst:
     """Inverse of export_json; bit-exact on weights."""
     obj = json.loads(text)
-    arcs = tuple(
-        Arc(
-            src=d["src"],
-            dst=d["dst"],
-            label=d["label"],
-            olabel=d["olabel"],
-            weight=float(d["weight"]),
-            kind=ArcKind(d["kind"]),
-            frame=d["frame"],
-            position=d["position"],
-        )
-        for d in obj["arcs"]
-    )
+    arcs = tuple(Arc(**{**d, "weight": float(d["weight"]), "kind": ArcKind(d["kind"])})
+                 for d in obj["arcs"])
     return Wfst(num_states=obj["num_states"], start=obj["start"], final=obj["final"], arcs=arcs)

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import pytest
 
@@ -104,6 +105,37 @@ class TestLoss:
         assert "error:" in err
 
 
+class TestPenaltyWarnings:
+    """Positive penalties warn only where a command uses them."""
+
+    def user_warnings(self, capsys, tmp_path, *argv):
+        path = tmp_path / "t.json"
+        write_tensor(path, 2, 1, 3, [0.0] * 12)
+        argv = [str(path) if a == "TENSOR" else a for a in argv]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, _ = run(capsys, *argv, "--lambda1=0.5")
+        assert code == 0
+        return [w for w in caught if issubclass(w.category, UserWarning)]
+
+    @pytest.mark.parametrize("argv", [
+        ("graph", "--type", "rnnt", "--tokens", "1", "--frames", "2"),
+        ("graph", "--type", "transcript", "--tokens", "1"),
+        ("loss", "--criterion", "rnnt", "--tensor", "TENSOR", "--tokens", "1", "--oracle"),
+    ])
+    def test_unused_penalties_do_not_warn(self, capsys, tmp_path, argv):
+        assert self.user_warnings(capsys, tmp_path, *argv) == []
+
+    @pytest.mark.parametrize("argv", [
+        ("graph", "--type", "wst", "--tokens", "1", "--frames", "2"),
+        ("graph", "--type", "ws-transcript", "--tokens", "1"),
+        ("loss", "--criterion", "wst", "--tensor", "TENSOR", "--tokens", "1"),
+    ])
+    def test_used_penalties_warn(self, capsys, tmp_path, argv):
+        caught = self.user_warnings(capsys, tmp_path, *argv)
+        assert any("lambda1=0.5" in str(w.message) for w in caught)
+
+
 class TestCorruptAndScore:
     def test_round_trip_and_determinism(self, capsys, tmp_path):
         ref = tmp_path / "ref.jsonl"
@@ -187,6 +219,17 @@ class TestTrainAndSweep:
         assert code == 0
         assert out.read_bytes() == before  # everything already done
         assert "cell" not in err
+
+    @pytest.mark.parametrize("section", [None, "task", "corruption", "penalties"])
+    def test_train_unknown_config_key(self, capsys, tmp_path, section):
+        config = json.loads(json.dumps(self.SMALL))
+        (config[section] if section else config)["bogus"] = 1
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code, out, err = run(capsys, "train", "--config", str(cfg))
+        assert code == 1
+        assert out == ""
+        assert "error:" in err and "bogus" in err and "Traceback" not in err
 
     def test_train_missing_config_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "train", "--config", str(tmp_path / "none.json"))

@@ -390,3 +390,38 @@ class TestBatchedValidation:
     def test_unknown_grad_wrt(self):
         with pytest.raises(ValueError, match="grad_wrt"):
             batched_grid_loss(self.Z, self.YS, grad_wrt="bogus")
+
+
+def _rnnt(z, toks):
+    return rnnt_loss(z[0], toks)
+
+
+def _wst(z, toks):
+    return wst_loss(z[0], toks, None)
+
+
+def _batched(z, toks):
+    return batched_grid_loss(z, [toks], "wst")
+
+
+class TestTargetIds:
+    Z = np.random.default_rng(17).standard_normal((1, 3, 2, 4))
+
+    @pytest.mark.parametrize("entry", [_rnnt, _wst, _batched])
+    @pytest.mark.parametrize("bad", [1.5, 1.7, True, np.True_, float("nan"), "1"])
+    def test_non_integer_id_rejected(self, entry, bad):
+        with pytest.raises(OutOfVocabulary) as exc:
+            entry(self.Z, [bad])
+        assert exc.value.position == 0
+
+    @pytest.mark.parametrize("entry", [_rnnt, _wst, _batched])
+    def test_integer_ids_accepted(self, entry):
+        expected = entry(self.Z, [2])
+        for toks in ([np.int64(2)], np.asarray([2]), [2.0]):
+            got = entry(self.Z, toks)
+            assert np.array_equal(got[0], expected[0]) and np.array_equal(got[1], expected[1])
+
+    def test_empty_transcripts(self):
+        z = self.Z[:, :, :1]
+        assert rnnt_loss(z[0], [])[0] == batched_grid_loss(z, np.zeros((1, 0), dtype=int))[0][0]
+        assert np.isfinite(wst_loss(z[0], np.asarray([], dtype=int), None)[0])

@@ -72,6 +72,25 @@ class TestTaskData:
         with pytest.raises(ValueError):
             ToyTask(feature_noise=-1.0)
 
+    @pytest.mark.parametrize("make", [
+        lambda: ToyTask(min_len=5, max_len=2),
+        lambda: ToyTask(min_len=0),
+        lambda: ToyTask(vocab_size=1),
+        lambda: ToyTask(train_size=0),
+        lambda: ExperimentConfig(batch_size=0),
+        lambda: ExperimentConfig(hidden=0),
+        lambda: ExperimentConfig(max_symbols_per_frame=0),
+    ], ids=["max_len<min_len", "min_len=0", "vocab_size=1", "train_size=0", "batch_size=0",
+            "hidden=0", "max_symbols_per_frame=0"])
+    def test_rejected_at_construction(self, make):
+        with pytest.raises(ValueError):
+            make()
+
+    def test_smallest_valid_task(self):
+        task = ToyTask(vocab_size=2, min_len=1, max_len=1, train_size=1, eval_size=0)
+        train_set, eval_set = generate_task_data(task)
+        assert [toks for _, toks in train_set] == [[1]] and eval_set == []
+
 
 class TestForward:
     def test_logit_shape(self):
@@ -236,3 +255,17 @@ class TestConfigRoundTrip:
     def test_defaults_round_trip(self):
         cfg = ExperimentConfig()
         assert config_from_dict(config_to_dict(cfg)) == cfg
+
+    @pytest.mark.parametrize("d", [
+        {"bogus": 1},
+        {"task": {"bogus": 1}},
+        {"corruption": {"kind": "sub", "rate": 0.1, "bogus": 1}},
+        {"penalties": {"lambda1": 0.0, "bogus": 1}},
+    ])
+    def test_unknown_key_named(self, d):
+        with pytest.raises(ValueError, match="'bogus'"):
+            config_from_dict(d)
+
+    def test_section_must_be_object(self):
+        with pytest.raises(ValueError, match="task"):
+            config_from_dict({"task": 5})

@@ -1,7 +1,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from wst.corruption import CorruptionSpec, corrupt
 from wst.exceptions import BlankInTranscript, OutOfVocabulary, StarInTranscript
+from wst.graphs import build_transcript_graph
 from wst.vocab import Vocab, validate_transcript
 
 
@@ -43,6 +45,20 @@ def test_out_of_vocabulary():
     assert exc.value.token_id == 7
     with pytest.raises(OutOfVocabulary):
         validate_transcript(Vocab(3), [-2])
+
+
+@pytest.mark.parametrize("bad", [1.5, True, False, float("nan"), float("inf"), "1", None])
+def test_non_integer_rejected(bad):
+    with pytest.raises(OutOfVocabulary) as exc:
+        validate_transcript(Vocab(3), [1, bad])
+    assert exc.value.position == 1
+
+
+def test_non_integer_rejected_by_builders():
+    with pytest.raises(OutOfVocabulary):
+        build_transcript_graph(Vocab(3), [1.5])
+    with pytest.raises(OutOfVocabulary):
+        corrupt(Vocab(3), [True], CorruptionSpec("sub", 0.5, 0))
 
 
 def test_empty_transcript_legal():
