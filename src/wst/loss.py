@@ -12,12 +12,14 @@ The recurrence is written once, in ``_sweep``, as a wavefront: cell (t, u)
 depends only on (t, u-1) and (t-1, u), so each anti-diagonal d = t + u is one
 vector step over arc weights stored skewed, cell (t, u) at (d, u), with -inf
 outside the grid. Alpha is the sweep from (0, 0), and beta is the same sweep
-on the grid reversed in both axes. The grid ends in a frame T whose only
-reachable cell is (T, U): the mandatory final blank is the one arc into it,
-with no bypass twin, so the log total weight is alpha at (T, U). Every cell
-sees the same operands as a cell-by-cell loop (``logaddexp(-inf, x) == x``,
-``x + 0.0 == x``, and IEEE ``+`` and ``logaddexp`` commute), so the result is
-bit-identical to one.
+on the grid reversed in both axes; one sweep computes both, over the forward
+and reversed planes stacked on the batch axis (2B rows), and splits them
+afterwards. The grid ends in a frame T whose only reachable cell is (T, U):
+the mandatory final blank is the one arc into it, with no bypass twin, so the
+log total weight is alpha at (T, U). Every cell sees the same operands as a
+cell-by-cell loop (``logaddexp(-inf, x) == x``, ``x + 0.0 == x``, and IEEE
+``+`` and ``logaddexp`` commute), and the recurrence is elementwise over the
+batch axis, so the result is bit-identical to one.
 
 Gradients are with respect to the logits by default: arc occupancies are
 routed through the log-softmax Jacobian, and bypass arcs additionally apply
@@ -27,8 +29,10 @@ Each row of the log-probability sensitivity has at most two nonzero entries,
 blank and the row's target, so the kernel returns it as two planes,
 ``d_blank`` [B, T, U+1] and ``d_tok`` [B, T, U]. The logit gradient is then
 softmax * (d_blank + d_tok) minus the two planes in their own columns; no
-dense sensitivity tensor is built. The raw log-probability-level gradient
-(plain occupancy accumulation) is available via ``grad_wrt="logprobs"``.
+dense sensitivity tensor is built. Target entries are read and written
+through one flat index into the C-contiguous log-probabilities. The raw
+log-probability-level gradient (plain occupancy accumulation) is available via
+``grad_wrt="logprobs"``.
 """
 
 from typing import Optional, Sequence, Tuple
@@ -42,10 +46,15 @@ from .vocab import Vocab, validate_transcript
 
 
 def log_softmax(logits) -> np.ndarray:
-    """Numerically stable log-softmax over the last axis."""
-    z = np.asarray(logits, dtype=float)
+    """Numerically stable log-softmax over the last axis, as a C-contiguous array.
+
+    An entry more than about 1.8e308 below its row's maximum overflows to
+    -inf, the log of a probability that is 0 in floating point.
+    """
+    z = np.ascontiguousarray(logits, dtype=float)
     m = z.max(axis=-1, keepdims=True)
-    shifted = z - m
+    with np.errstate(over="ignore"):
+        shifted = z - m
     shifted -= np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     return shifted
 
@@ -105,19 +114,21 @@ def _grid_loss_grad(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Forward-backward over the (t, u) grid for a batch of equal-shape items.
 
-    lp: [B, T, U+1, V] log-probabilities; ys: [B, U] token ids, none of them 0.
-    With ``penalties`` None the grid has no bypass arcs and no star weight is
-    computed; otherwise each arc weight is the log-sum of the arc and its
-    bypass twin.
+    lp: [B, T, U+1, V] C-contiguous log-probabilities; ys: [B, U] token ids,
+    none of them 0. With ``penalties`` None the grid has no bypass arcs and no
+    star weight is computed; otherwise each arc weight is the log-sum of the
+    arc and its bypass twin.
     Returns (log total weight [B], d_blank [B, T, U+1], d_tok [B, T, U],
-    idx [B, T, U, 1]): the sensitivity d(log total)/d(lp) is d_blank in the
-    blank column, d_tok in the target column idx, and zero elsewhere.
+    flat [B, T, U]): the sensitivity d(log total)/d(lp) is d_blank in the
+    blank column, d_tok at the target entries ``lp.reshape(-1)[flat]``, and
+    zero elsewhere.
     """
     b_sz, t_len, cols, v_size = lp.shape
     u_len = cols - 1
     blank = lp[..., 0]  # [B, T, U+1]
-    idx = np.broadcast_to(ys[:, None, :, None], (b_sz, t_len, u_len, 1))
-    tok = np.take_along_axis(lp[:, :, :u_len, :], idx, axis=-1)[..., 0]
+    rows = np.arange(b_sz * t_len * cols).reshape(b_sz, t_len, cols)[:, :, :u_len]
+    flat = rows * v_size + ys[:, None, :]
+    tok = lp.reshape(-1)[flat]
 
     if penalties is None:
         vert, horiz = tok, blank.copy()
@@ -132,14 +143,18 @@ def _grid_loss_grad(
     horiz[:, -1, -1] = blank[:, -1, -1]
     vert_end = np.concatenate([vert, np.full((b_sz, 1, u_len), NEG_INF)], axis=1)
 
-    # beta is the forward pass of the reversed grid
-    alpha = _sweep(vert_end, horiz)  # [B, T+1, U+1]
-    beta = _sweep(vert_end[:, ::-1, ::-1], horiz[:, ::-1, ::-1])[:, ::-1, ::-1]
+    # beta is the forward pass of the reversed grid; both run in one sweep,
+    # the reversed planes stacked after the forward ones on the batch axis
+    scores = _sweep(np.concatenate([vert_end, vert_end[:, ::-1, ::-1]]),
+                    np.concatenate([horiz, horiz[:, ::-1, ::-1]]))  # [2B, T+1, U+1]
+    alpha, beta = scores[:b_sz], scores[b_sz:, ::-1, ::-1]
     total = alpha[:, t_len, u_len]
+    if (total == NEG_INF).any():  # only after log_softmax overflowed; occupancy divides by the total
+        raise NoPath(f"lattice of item {int(np.argmax(total == NEG_INF))} admits no accepting path")
     gamma_vert = _occupancy(alpha[:, :t_len, :u_len], vert, beta[:, :t_len, 1:], total)
     gamma_horiz = _occupancy(alpha[:, :t_len], horiz, beta[:, 1:], total)
     if penalties is None:
-        return total, gamma_horiz, gamma_vert, idx
+        return total, gamma_horiz, gamma_vert, flat
 
     gamma_tok = _plain_share(gamma_vert, tok, vert)
     gamma_blank = _plain_share(gamma_horiz, blank, horiz)
@@ -151,10 +166,10 @@ def _grid_loss_grad(
     with np.errstate(divide="ignore", invalid="ignore"):
         factor = p_blank / np.expm1(blank)  # = -p/(1-p)
         d_blank = gamma_blank + np.where(gamma_star > 0.0, gamma_star * factor, 0.0)
-    return total, d_blank, gamma_tok, idx
+    return total, d_blank, gamma_tok, flat
 
 
-def _logit_grad(lp: np.ndarray, d_blank: np.ndarray, d_tok: np.ndarray, idx: np.ndarray) -> np.ndarray:
+def _logit_grad(lp: np.ndarray, d_blank: np.ndarray, d_tok: np.ndarray, flat: np.ndarray) -> np.ndarray:
     """-d(log total)/d(logits) from the two sensitivity planes, written over ``lp``.
 
     Equals -(dlp - softmax * dlp.sum(-1)) for the dense sensitivity dlp: a row
@@ -167,16 +182,15 @@ def _logit_grad(lp: np.ndarray, d_blank: np.ndarray, d_tok: np.ndarray, idx: np.
     g = np.exp(lp, out=lp)
     g *= s[..., None]
     g[..., 0] -= d_blank
-    g_tok = g[:, :, :u_len]
-    np.put_along_axis(g_tok, idx, np.take_along_axis(g_tok, idx, axis=-1) - d_tok[..., None], axis=-1)
+    g.reshape(-1)[flat] -= d_tok
     return g
 
 
-def _logprob_grad(lp: np.ndarray, d_blank: np.ndarray, d_tok: np.ndarray, idx: np.ndarray) -> np.ndarray:
+def _logprob_grad(lp: np.ndarray, d_blank: np.ndarray, d_tok: np.ndarray, flat: np.ndarray) -> np.ndarray:
     """-d(log total)/d(lp): the negated dense arc occupancies."""
     dlp = np.zeros_like(lp)
     dlp[..., 0] = d_blank
-    np.put_along_axis(dlp[:, :, : d_tok.shape[2]], idx, d_tok[..., None], axis=-1)
+    dlp.reshape(-1)[flat] = d_tok
     return -dlp
 
 
@@ -225,8 +239,6 @@ def _single_loss(logits, tokens, penalties, grad_wrt) -> Tuple[float, np.ndarray
         raise ShapeMismatch(f"expected a [T][U+1][|V|] logit tensor, got {z.ndim} dimensions")
     ys = _target_ids(list(tokens), z.shape[-1]).reshape(1, -1)
     total, grad = _loss_and_grad(z[None], ys, penalties, grad_wrt)
-    if total[0] == NEG_INF:
-        raise NoPath("lattice admits no accepting path")
     return float(-total[0]), grad[0]
 
 

@@ -14,18 +14,36 @@ sequential reductions.
 """
 
 import dataclasses
+import numbers
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from .corruption import CorruptionSpec, corrupt_dataset, edit_counts, measure_corruption
-from .exceptions import Divergence, ShapeMismatch
+from .exceptions import Divergence, NoPath, ShapeMismatch
 from .graphs import PenaltyConfig, penalties_for
 from .loss import batched_grid_loss
 from .vocab import Vocab
 
 Utterance = Tuple[np.ndarray, List[int]]
+
+
+def _check_field_types(obj) -> None:
+    """ValueError naming the first field of dataclass ``obj`` whose value has the wrong type.
+
+    An int field takes any integer except a bool; a float field takes any real
+    number except a bool; any other field takes an instance of its class.
+    """
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if f.type in (int, float):
+            kind = numbers.Integral if f.type is int else numbers.Real
+            ok = isinstance(value, kind) and not isinstance(value, bool)
+        else:
+            ok = isinstance(value, f.type)
+        if not ok:
+            raise ValueError(f"{f.name} must be of type {f.type.__name__}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -42,6 +60,7 @@ class ToyTask:
     seed: int = 0
 
     def __post_init__(self):
+        _check_field_types(self)
         for name, low in (("vocab_size", 2), ("min_len", 1), ("train_size", 1), ("frames_per_token", 1)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}")
@@ -76,6 +95,7 @@ class ExperimentConfig:
     max_symbols_per_frame: int = 1
 
     def __post_init__(self):
+        _check_field_types(self)
         for name in ("epochs", "hidden", "batch_size", "max_symbols_per_frame"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
@@ -147,20 +167,31 @@ def _forward_batch(params: ToyModelParams, xs: np.ndarray, ys: np.ndarray):
     b_sz, u_len = ys.shape
     ctx = np.concatenate([np.zeros((b_sz, 1), dtype=int), ys], axis=1)  # blank-prefixed
     g = params.decoder_embed[ctx]                   # [B, U+1, H]
-    h = np.tanh(f[:, :, None, :] + g[:, None, :, :])
-    logits = h @ params.joiner_w.T + params.joiner_b
-    return logits, h, ctx
+    h = f[:, :, None, :] + g[:, None, :, :]
+    np.tanh(h, out=h)
+    logits = h.reshape(-1, h.shape[-1]) @ params.joiner_w.T + params.joiner_b
+    return logits.reshape(*h.shape[:-1], -1), h, ctx
 
 
 def _backward_batch(params: ToyModelParams, xs, ctx, h, dlogits) -> ToyModelParams:
-    """Gradient of sum-loss with respect to the parameters."""
+    """Gradient of sum-loss with respect to the parameters.
+
+    The joiner products run on [B*T*(U+1), .] rows and the encoder product on
+    [B*T, .] rows, as single 2-D matrix products.
+    """
+    hidden = h.shape[-1]
+    h2 = h.reshape(-1, hidden)
+    d2 = dlogits.reshape(-1, dlogits.shape[-1])
     db = dlogits.sum(axis=(0, 1, 2))
-    dw = np.einsum("btuv,btuh->vh", dlogits, h)
-    dh = dlogits @ params.joiner_w                  # [B, T, U+1, H]
-    dpre = dh * (1.0 - h * h)
+    dw = d2.T @ h2
+    dpre = d2 @ params.joiner_w                     # [B*T*(U+1), H]
+    slope = h2 * h2
+    np.subtract(1.0, slope, out=slope)
+    dpre *= slope
+    dpre = dpre.reshape(h.shape)
     df = dpre.sum(axis=2)                           # [B, T, H]
     dg = dpre.sum(axis=1)                           # [B, U+1, H]
-    denc = np.einsum("bth,btd->hd", df, xs)
+    denc = df.reshape(-1, hidden).T @ xs.reshape(-1, xs.shape[-1])
     dembed = np.zeros_like(params.decoder_embed)
     np.add.at(dembed, ctx, dg)
     return ToyModelParams(denc, dembed, dw, db)
@@ -207,10 +238,11 @@ def train(config: ExperimentConfig) -> Tuple[ToyModelParams, List[float]]:
             xs = np.stack([utts[i][0] for i in batch])
             ys = np.asarray([utts[i][1] for i in batch], dtype=int).reshape(len(batch), -1)
             logits, h, ctx = _forward_batch(params, xs, ys)
-            losses, dlogits = batched_grid_loss(
-                logits, ys, criterion=config.criterion, penalties=config.penalties)
-            if not np.all(np.isfinite(losses)):
-                raise Divergence(epoch, b_idx)
+            try:
+                losses, dlogits = batched_grid_loss(
+                    logits, ys, criterion=config.criterion, penalties=config.penalties)
+            except NoPath as exc:  # the logits overflowed log-softmax
+                raise Divergence(epoch, b_idx) from exc
             loss_sum += float(losses.sum())
             grads = _backward_batch(params, xs, ctx, h, dlogits / len(batch))
             for p, g, v in zip(params.fields(), grads.fields(), velocity.fields()):

@@ -231,6 +231,26 @@ class TestTrainAndSweep:
         assert out == ""
         assert "error:" in err and "bogus" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("field,change", [
+        ("hidden", {"hidden": "a"}),
+        ("vocab_size", {"task": {"vocab_size": 2.5}}),
+        ("learning_rate", {"learning_rate": "x"}),
+        ("epochs", {"epochs": True}),
+    ])
+    def test_train_wrong_typed_value(self, capsys, tmp_path, field, change):
+        config = json.loads(json.dumps(self.SMALL))
+        for key, value in change.items():
+            if isinstance(value, dict):
+                config[key].update(value)
+            else:
+                config[key] = value
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code, out, err = run(capsys, "train", "--config", str(cfg))
+        assert code == 1
+        assert out == ""
+        assert "error:" in err and field in err and "Traceback" not in err
+
     def test_train_missing_config_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "train", "--config", str(tmp_path / "none.json"))
         assert code == 1

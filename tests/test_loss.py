@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from wst.exceptions import BlankInTranscript, OutOfVocabulary, ShapeMismatch
+from wst.exceptions import BlankInTranscript, NoPath, OutOfVocabulary, ShapeMismatch
 from wst.graphs import LN_HALF, PenaltyConfig, build_rnnt_lattice, build_wst_lattice, penalties_for
 from wst.loss import _grid_loss_grad, batched_grid_loss, log_softmax, rnnt_loss, wst_loss
 from wst.numerics import NEG_INF, star_log_prob
@@ -181,14 +181,62 @@ class TestGradients:
 
 class TestBatchLoss:
     def test_batched_grid_matches_single_calls(self):
+        # alpha and beta come from one sweep over the stacked planes, so a
+        # wrong row split shows up as a mismatch against the B=1 calls
         rng = np.random.default_rng(15)
-        zs = rng.standard_normal((3, 2, 2, 4))
-        ys = rng.integers(1, 4, size=(3, 1))
-        losses, grads = batched_grid_loss(zs, ys, "wst", NO_PENALTY)
-        for i in range(3):
-            l, g = wst_loss(zs[i], list(ys[i]), NO_PENALTY)
-            assert losses[i] == l
-            assert np.array_equal(grads[i], g)
+        for b_sz, t_len, u_len in ((2, 3, 3), (3, 5, 3), (4, 3, 6), (5, 4, 4), (5, 7, 3)):
+            zs = rng.standard_normal((b_sz, t_len, u_len + 1, 6))
+            ys = rng.integers(1, 6, size=(b_sz, u_len))
+            for criterion in ("rnnt", "wst"):
+                losses, grads = batched_grid_loss(zs, ys, criterion, NO_PENALTY)
+                for i in range(b_sz):
+                    if criterion == "rnnt":
+                        l, g = rnnt_loss(zs[i], list(ys[i]))
+                    else:
+                        l, g = wst_loss(zs[i], list(ys[i]), NO_PENALTY)
+                    assert losses[i] == l
+                    assert np.array_equal(grads[i], g)
+
+    def test_memory_layout_does_not_matter(self):
+        rng = np.random.default_rng(18)
+        zs = rng.standard_normal((3, 4, 3, 5))
+        ys = rng.integers(1, 5, size=(3, 2))
+        for criterion in ("rnnt", "wst"):
+            for grad_wrt in ("logits", "logprobs"):
+                expected = batched_grid_loss(zs, ys, criterion, None, grad_wrt)
+                for layout in (np.asfortranarray(zs), np.swapaxes(np.swapaxes(zs, 1, 2).copy(), 1, 2)):
+                    got = batched_grid_loss(layout, ys, criterion, None, grad_wrt)
+                    assert np.array_equal(got[0], expected[0]) and np.array_equal(got[1], expected[1])
+
+
+class TestOverflowingLogits:
+    """Finite logits whose range overflows log-softmax: a typed error, no warning, on every entry point."""
+
+    Z = np.asarray([[[1e308, -1e308, 0.0]] * 2] * 2)  # target 1 gets probability 0
+
+    @pytest.mark.parametrize("entry", [
+        lambda z, toks: rnnt_loss(z, toks),
+        lambda z, toks: wst_loss(z, toks, None),
+        lambda z, toks: batched_grid_loss(z[None], [toks], "rnnt"),
+        lambda z, toks: batched_grid_loss(z[None], [toks], "wst"),
+    ], ids=["rnnt_loss", "wst_loss", "batched_rnnt", "batched_wst"])
+    def test_no_path(self, entry):
+        with pytest.raises(NoPath):
+            entry(self.Z, [1])
+
+    @pytest.mark.parametrize("criterion", ["rnnt", "wst"])
+    def test_batch_names_the_item(self, criterion):
+        zs = np.stack([np.zeros((2, 2, 3)), self.Z])
+        with pytest.raises(NoPath, match="item 1"):
+            batched_grid_loss(zs, [[1], [1]], criterion)
+
+    def test_overflow_off_every_path_is_finite(self):
+        z = self.Z[..., [0, 2, 1]]  # the overflowing entry is now a token no arc reads
+        loss, grad = rnnt_loss(z, [1])
+        assert np.isfinite(loss) and np.all(np.isfinite(grad))
+        losses, grads = batched_grid_loss(z[None], [[1]], "wst")
+        assert np.isfinite(losses[0]) and np.all(np.isfinite(grads))
+        assert log_softmax(z)[0, 0, 2] == NEG_INF
 
 
 class TestWstWithoutPenalties:

@@ -5,13 +5,16 @@ import numpy as np
 import pytest
 
 from wst.corruption import CorruptionSpec
-from wst.exceptions import ShapeMismatch
+from wst import toytrain
+from wst.exceptions import Divergence, NoPath, ShapeMismatch
 from wst.graphs import PenaltyConfig
-from wst.loss import rnnt_loss
+from wst.loss import batched_grid_loss, rnnt_loss
 from wst.numerics import NEG_INF
 from wst.toytrain import (
     ExperimentConfig,
     ToyTask,
+    _backward_batch,
+    _forward_batch,
     config_from_dict,
     config_to_dict,
     evaluate,
@@ -86,6 +89,31 @@ class TestTaskData:
         with pytest.raises(ValueError):
             make()
 
+    @pytest.mark.parametrize("field,make", [
+        ("vocab_size", lambda: ToyTask(vocab_size=2.5)),
+        ("min_len", lambda: ToyTask(min_len=True)),
+        ("seed", lambda: ToyTask(seed="0")),
+        ("feature_noise", lambda: ToyTask(feature_noise="0.2")),
+        ("feature_noise", lambda: ToyTask(feature_noise=False)),
+        ("hidden", lambda: ExperimentConfig(hidden="a")),
+        ("hidden", lambda: ExperimentConfig(hidden=32.0)),
+        ("epochs", lambda: ExperimentConfig(epochs=True)),
+        ("batch_size", lambda: ExperimentConfig(batch_size=np.True_)),
+        ("learning_rate", lambda: ExperimentConfig(learning_rate="x")),
+        ("momentum", lambda: ExperimentConfig(momentum=None)),
+        ("criterion", lambda: ExperimentConfig(criterion=1)),
+        ("task", lambda: ExperimentConfig(task={"vocab_size": 5})),
+        ("penalties", lambda: ExperimentConfig(penalties=None)),
+    ])
+    def test_wrong_type_named(self, field, make):
+        with pytest.raises(ValueError, match=f"^{field} must be of type"):
+            make()
+
+    def test_integers_accepted_in_any_integer_type(self):
+        task = ToyTask(vocab_size=np.int64(5), seed=np.int32(3))
+        assert task.feature_dim == 4
+        assert ExperimentConfig(learning_rate=1, momentum=np.float32(0.5)).learning_rate == 1
+
     def test_smallest_valid_task(self):
         task = ToyTask(vocab_size=2, min_len=1, max_len=1, train_size=1, eval_size=0)
         train_set, eval_set = generate_task_data(task)
@@ -114,28 +142,33 @@ class TestForward:
         assert np.array_equal(z1[:, 1], z2[:, 1])
         assert not np.array_equal(z1[:, 2], z2[:, 2])
 
+    def test_batch_matches_per_item_forward(self):
+        params = init_params(SMALL_TASK, 8, 2)
+        rng = np.random.default_rng(4)
+        xs = rng.standard_normal((4, 5, SMALL_TASK.feature_dim))
+        ys = rng.integers(1, SMALL_TASK.vocab_size, size=(4, 3))
+        logits, _, _ = _forward_batch(params, xs, ys)
+        for x, y, z in zip(xs, ys, logits):
+            assert np.abs(z - forward(params, x, y)).max() <= 1e-12
+
     def test_finite_difference_through_params(self):
+        # three items with different token sequences: a reshape that mixes
+        # items in the batched backward pass breaks the summed gradient
         params = init_params(SMALL_TASK, 4, 1)
         rng = np.random.default_rng(0)
-        feats = rng.standard_normal((2, SMALL_TASK.feature_dim))
-        toks = [1, 2]
+        xs = rng.standard_normal((3, 2, SMALL_TASK.feature_dim))
+        ys = np.asarray([[1, 2], [3, 1], [4, 4]])
 
         def loss_of(p):
-            return rnnt_loss(forward(p, feats, toks), toks)[0]
+            return sum(rnnt_loss(forward(p, x, y), y)[0] for x, y in zip(xs, ys))
 
-        # analytic: chain through _backward_batch on a batch of one
-        from wst.toytrain import _backward_batch, _forward_batch
-        xs = feats[None]
-        ys = np.asarray([toks])
         logits, h, ctx = _forward_batch(params, xs, ys)
-        _, dlogits = rnnt_loss(logits[0], toks)
-        grads = _backward_batch(params, xs, ctx, h, dlogits[None])
+        _, dlogits = batched_grid_loss(logits, ys)
+        grads = _backward_batch(params, xs, ctx, h, dlogits)
         h_step = 1e-6
-        for f_idx in range(4):
-            arr = params.fields()[f_idx]
-            g_arr = grads.fields()[f_idx]
+        for arr, g_arr in zip(params.fields(), grads.fields()):
             flat = arr.reshape(-1)
-            for k in range(0, flat.size, max(1, flat.size // 5)):
+            for k in range(flat.size):
                 orig = flat[k]
                 flat[k] = orig + h_step
                 up = loss_of(params)
@@ -184,6 +217,15 @@ class TestTrain:
     def test_unknown_criterion_rejected(self):
         with pytest.raises(ValueError, match="criterion"):
             small_config(criterion="ctc")
+
+    def test_no_path_is_divergence(self, monkeypatch):
+        def no_path(*args, **kwargs):
+            raise NoPath("lattice of item 0 admits no accepting path")
+
+        monkeypatch.setattr(toytrain, "batched_grid_loss", no_path)
+        with pytest.raises(Divergence) as exc:
+            train(small_config())
+        assert (exc.value.epoch, exc.value.batch) == (0, 0)
 
 
 class TestGreedyDecode:
