@@ -17,7 +17,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from .exceptions import EmptyReference
-from .vocab import Vocab, validate_transcript
+from .vocab import Vocab, check_field_types, validate_transcript
 
 KINDS = ("sub", "ins", "del", "mixed")
 
@@ -29,6 +29,7 @@ class CorruptionSpec:
     seed: int = 0
 
     def __post_init__(self):
+        check_field_types(self)
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
         if not 0.0 <= self.rate <= 1.0:

@@ -9,9 +9,9 @@ Four constructions:
 * weakly supervised lattice: the same grid with a token-bypass twin for every
   token arc and a blank-bypass twin for every non-terminating blank arc.
 
-The two lattices come from one grid builder: the standard lattice is the
-weakly supervised one without bypass arcs, and ``penalties is None`` is the
-switch between them (``penalties_for`` maps a criterion name onto it).
+The lattices come from one grid builder and the transcript graphs from one
+chain builder: each plain form is the weakly supervised one without star arcs,
+and ``penalties is None`` is the switch (``penalties_for`` maps a criterion).
 
 Grid state (t, u) has id t*(U+1)+u; the pre-final state is T*(U+1) and the
 final state T*(U+1)+1. The terminating blank arc from (T-1, U) is mandatory
@@ -29,7 +29,7 @@ import numpy as np
 
 from .exceptions import ShapeMismatch
 from .numerics import star_log_prob
-from .vocab import Vocab, validate_transcript
+from .vocab import Vocab, check_field_types, validate_transcript
 from .wfst import EPSILON, Arc, ArcKind, Wfst
 
 LN_HALF = math.log(0.5)
@@ -49,6 +49,7 @@ class PenaltyConfig:
     lambda2: float = LN_HALF
 
     def __post_init__(self):
+        check_field_types(self)
         for name in ("lambda1", "lambda2"):
             v = getattr(self, name)
             if math.isnan(v):
@@ -61,14 +62,7 @@ class PenaltyConfig:
 
 def build_transcript_graph(vocab: Vocab, tokens: Sequence[int]) -> Wfst:
     """Linear chain accepting exactly the transcript, ending in an epsilon final arc."""
-    validate_transcript(vocab, tokens)
-    u_len = len(tokens)
-    arcs: List[Arc] = []
-    for u, tok in enumerate(tokens):
-        arcs.append(Arc(u, u + 1, int(tok), int(tok), 0.0, ArcKind.TOKEN, position=u))
-    final = u_len + 1
-    arcs.append(Arc(u_len, final, EPSILON, EPSILON, 0.0, ArcKind.FINAL))
-    return Wfst(num_states=u_len + 2, start=0, final=final, arcs=arcs)
+    return _chain(vocab, tokens, None)
 
 
 def build_ws_transcript_graph(vocab: Vocab, tokens: Sequence[int],
@@ -80,17 +74,23 @@ def build_ws_transcript_graph(vocab: Vocab, tokens: Sequence[int],
     mean ``PenaltyConfig()``. The result is cyclic and therefore export-only:
     topo_sort rejects it by design.
     """
+    return _chain(vocab, tokens, penalties_for("wst", penalties))
+
+
+def _chain(vocab: Vocab, tokens: Sequence[int], penalties: Optional[PenaltyConfig]) -> Wfst:
+    """Transcript chain, with star self-loops and bypass arcs iff penalties are given."""
     validate_transcript(vocab, tokens)
-    penalties = penalties_for("wst", penalties)
     u_len = len(tokens)
     star = vocab.star_id
     arcs: List[Arc] = []
     for u in range(u_len + 1):
-        arcs.append(Arc(u, u, star, star, penalties.lambda2, ArcKind.BLANK_BYPASS, position=u))
+        if penalties is not None:
+            arcs.append(Arc(u, u, star, star, penalties.lambda2, ArcKind.BLANK_BYPASS, position=u))
         if u < u_len:
             tok = int(tokens[u])
             arcs.append(Arc(u, u + 1, tok, tok, 0.0, ArcKind.TOKEN, position=u))
-            arcs.append(Arc(u, u + 1, star, star, penalties.lambda1, ArcKind.TOKEN_BYPASS, position=u))
+            if penalties is not None:
+                arcs.append(Arc(u, u + 1, star, star, penalties.lambda1, ArcKind.TOKEN_BYPASS, position=u))
     final = u_len + 1
     arcs.append(Arc(u_len, final, EPSILON, EPSILON, 0.0, ArcKind.FINAL))
     return Wfst(num_states=u_len + 2, start=0, final=final, arcs=arcs)
@@ -107,6 +107,8 @@ def _check_tensor(vocab: Vocab, tokens: Sequence[int], logp) -> np.ndarray:
         raise ShapeMismatch(f"tensor has {rows} transcript rows, expected U+1={len(tokens) + 1}")
     if v != vocab.size:
         raise ShapeMismatch(f"tensor vocabulary axis is {v}, expected |V|={vocab.size}")
+    if not (lp < np.inf).all():  # -inf is a zero probability; NaN fails the comparison
+        raise ShapeMismatch("log-probabilities must not be NaN or +inf")
     return lp
 
 

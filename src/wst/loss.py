@@ -194,6 +194,14 @@ def _logprob_grad(lp: np.ndarray, d_blank: np.ndarray, d_tok: np.ndarray, flat: 
     return -dlp
 
 
+def _finite_logits(logits) -> np.ndarray:
+    """``logits`` as a float array; ShapeMismatch unless every entry is finite."""
+    z = np.asarray(logits, dtype=float)
+    if not np.isfinite(z).all():
+        raise ShapeMismatch("logits must be finite")
+    return z
+
+
 def _check_grid(z: np.ndarray, ys: np.ndarray) -> None:
     """Typed errors for [B, T, U+1, V] logits and [B, U] target ids."""
     b_sz, t_len, cols, v_size = z.shape
@@ -205,8 +213,7 @@ def _check_grid(z: np.ndarray, ys: np.ndarray) -> None:
         raise ShapeMismatch(f"expected [B][U] targets with B={b_sz}, got shape {ys.shape}")
     if ys.shape[1] + 1 != cols:
         raise ShapeMismatch(f"tensor has {cols} transcript rows, expected U+1={ys.shape[1] + 1}")
-    if not np.isfinite(z).all():
-        raise ShapeMismatch("logits must be finite")
+    _finite_logits(z)
     bad = (ys < 1) | (ys >= v_size)
     if bad.any():
         validate_transcript(Vocab(v_size), ys[int(np.argmax(bad.any(axis=1)))])

@@ -2,14 +2,14 @@
 
 Exhaustive path enumeration is intentionally naive: it is the independent
 check that the dynamic-programming routines are measured against, so it must
-not share their machinery beyond the lattice builders themselves.
+not share their machinery beyond the lattice builders and the input checks.
 """
 
 from typing import List, Optional, Sequence, Tuple
 
 from .exceptions import TooManyPaths
-from .graphs import PenaltyConfig, build_rnnt_lattice, build_wst_lattice, penalties_for
-from .loss import log_softmax
+from .graphs import PenaltyConfig, _grid_lattice, penalties_for
+from .loss import _finite_logits, log_softmax
 from .numerics import log_sum
 from .vocab import Vocab
 from .wfst import Wfst, out_arcs, topo_sort
@@ -59,11 +59,7 @@ def brute_force_loss(
 ) -> float:
     """Loss by explicit summation over every enumerated alignment path."""
     pen = penalties_for(criterion, penalties)
-    lp = log_softmax(logits)
-    vocab = Vocab(lp.shape[-1])
-    if pen is None:
-        g = build_rnnt_lattice(vocab, tokens, lp)
-    else:
-        g = build_wst_lattice(vocab, tokens, lp, pen)
+    lp = log_softmax(_finite_logits(logits))
+    g = _grid_lattice(Vocab(lp.shape[-1]), tokens, lp, pen)
     paths = enumerate_paths(g, max_paths=max_paths)
     return -log_sum(w for _, w in paths)

@@ -14,7 +14,6 @@ sequential reductions.
 """
 
 import dataclasses
-import numbers
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
@@ -24,26 +23,9 @@ from .corruption import CorruptionSpec, corrupt_dataset, edit_counts, measure_co
 from .exceptions import Divergence, NoPath, ShapeMismatch
 from .graphs import PenaltyConfig, penalties_for
 from .loss import batched_grid_loss
-from .vocab import Vocab
+from .vocab import Vocab, check_field_types
 
 Utterance = Tuple[np.ndarray, List[int]]
-
-
-def _check_field_types(obj) -> None:
-    """ValueError naming the first field of dataclass ``obj`` whose value has the wrong type.
-
-    An int field takes any integer except a bool; a float field takes any real
-    number except a bool; any other field takes an instance of its class.
-    """
-    for f in dataclasses.fields(obj):
-        value = getattr(obj, f.name)
-        if f.type in (int, float):
-            kind = numbers.Integral if f.type is int else numbers.Real
-            ok = isinstance(value, kind) and not isinstance(value, bool)
-        else:
-            ok = isinstance(value, f.type)
-        if not ok:
-            raise ValueError(f"{f.name} must be of type {f.type.__name__}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -60,7 +42,7 @@ class ToyTask:
     seed: int = 0
 
     def __post_init__(self):
-        _check_field_types(self)
+        check_field_types(self)
         for name, low in (("vocab_size", 2), ("min_len", 1), ("train_size", 1), ("frames_per_token", 1)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}")
@@ -95,7 +77,7 @@ class ExperimentConfig:
     max_symbols_per_frame: int = 1
 
     def __post_init__(self):
-        _check_field_types(self)
+        check_field_types(self)
         for name in ("epochs", "hidden", "batch_size", "max_symbols_per_frame"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
@@ -302,9 +284,9 @@ def run_experiment(config: ExperimentConfig) -> Dict:
     identical reports.
     """
     params, curve = train(config)
-    _, eval_set = generate_task_data(config.task)
+    train_set, eval_set = generate_task_data(config.task)
     eval_wer = evaluate(params, eval_set, config.max_symbols_per_frame)
-    clean_train = [toks for _, toks in generate_task_data(config.task)[0]]
+    clean_train = [toks for _, toks in train_set]
     realized = measure_corruption(Vocab(config.task.vocab_size), clean_train, config.corruption)
     return {
         "config": config_to_dict(config),
@@ -319,23 +301,17 @@ def config_to_dict(config: ExperimentConfig) -> Dict:
     return dataclasses.asdict(config)
 
 
-def _checked_keys(cls, d, where: str) -> Dict:
-    """A copy of ``d`` to build a ``cls`` from; ValueError names an unknown key."""
+def _from_dict(cls, d, where: str):
+    """``cls`` from JSON object ``d``, unknown keys rejected; dataclass fields recurse."""
     if not isinstance(d, dict):
         raise ValueError(f"{where} must be a JSON object, got {type(d).__name__}")
-    unknown = sorted(set(d) - {f.name for f in dataclasses.fields(cls)})
+    types = {f.name: f.type for f in dataclasses.fields(cls)}
+    unknown = sorted(set(d) - set(types))
     if unknown:
         raise ValueError(f"unknown key {unknown[0]!r} in {where}")
-    return dict(d)
+    return cls(**{k: _from_dict(types[k], v, k) if dataclasses.is_dataclass(types[k]) else v
+                  for k, v in d.items()})
 
 
 def config_from_dict(d: Dict) -> ExperimentConfig:
-    d = _checked_keys(ExperimentConfig, d, "config")
-    if "task" in d:
-        d["task"] = ToyTask(**_checked_keys(ToyTask, d["task"], "task"))
-    if "corruption" in d:
-        d["corruption"] = CorruptionSpec(**_checked_keys(CorruptionSpec, d["corruption"], "corruption"))
-    if "penalties" in d:
-        p = _checked_keys(PenaltyConfig, d["penalties"], "penalties")
-        d["penalties"] = PenaltyConfig(**{k: float(v) for k, v in p.items()})
-    return ExperimentConfig(**d)
+    return _from_dict(ExperimentConfig, d, "config")

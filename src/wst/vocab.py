@@ -3,9 +3,15 @@
 A vocabulary has ``size`` real output symbols (index 0 is the reserved blank).
 The star symbol is virtual: it has id ``size``, which is deliberately one past
 the end of every probability row, so it can never be produced by a softmax.
+
+Every config dataclass (``Vocab``, ``PenaltyConfig``, ``CorruptionSpec``,
+``ToyTask``, ``ExperimentConfig``) first calls ``check_field_types``: an int
+field takes any integer, a float field any real number, any other field an
+instance of its class, and no field a bool; else a ValueError names the field.
 """
 
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -15,6 +21,15 @@ from .exceptions import BlankInTranscript, OutOfVocabulary, StarInTranscript
 BLANK_ID = 0
 
 
+def check_field_types(obj) -> None:
+    """ValueError naming the first field of dataclass ``obj`` whose value has the wrong type."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        kind = {int: numbers.Integral, float: numbers.Real}.get(f.type, f.type)
+        if isinstance(value, bool) or not isinstance(value, kind):  # no field is a bool
+            raise ValueError(f"{f.name} must be of type {f.type.__name__}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Vocab:
     """Token identity: |V| real symbols including blank, plus a virtual star."""
@@ -22,6 +37,7 @@ class Vocab:
     size: int
 
     def __post_init__(self):
+        check_field_types(self)
         if self.size < 2:
             raise ValueError("vocabulary needs blank plus at least one real token")
 

@@ -236,6 +236,10 @@ class TestTrainAndSweep:
         ("vocab_size", {"task": {"vocab_size": 2.5}}),
         ("learning_rate", {"learning_rate": "x"}),
         ("epochs", {"epochs": True}),
+        ("rate", {"corruption": {"rate": "x"}}),
+        ("seed", {"corruption": {"seed": "a"}}),
+        ("lambda1", {"penalties": {"lambda1": "a"}}),
+        ("lambda1", {"penalties": {"lambda1": True}}),
     ])
     def test_train_wrong_typed_value(self, capsys, tmp_path, field, change):
         config = json.loads(json.dumps(self.SMALL))
@@ -249,7 +253,7 @@ class TestTrainAndSweep:
         code, out, err = run(capsys, "train", "--config", str(cfg))
         assert code == 1
         assert out == ""
-        assert "error:" in err and field in err and "Traceback" not in err
+        assert f"error: {field} must be of type" in err and "Traceback" not in err
 
     def test_train_missing_config_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "train", "--config", str(tmp_path / "none.json"))

@@ -73,6 +73,13 @@ class TestTranscriptGraph:
 
 
 class TestWsTranscriptGraph:
+    @pytest.mark.parametrize("tokens", [[], [2], [1, 3, 3, 2]])
+    def test_plain_chain_is_ws_chain_without_star_arcs(self, tokens):
+        plain = build_transcript_graph(V4, tokens)
+        ws = build_ws_transcript_graph(V4, tokens, PenaltyConfig(-0.3, -0.7))
+        assert [a for a in ws.arcs if a.label != V4.star_id] == list(plain.arcs)
+        assert (ws.num_states, ws.start, ws.final) == (plain.num_states, plain.start, plain.final)
+
     def test_single_token(self):
         g = build_ws_transcript_graph(Vocab(3), [1], PenaltyConfig())
         assert g.num_states == 3
@@ -121,6 +128,17 @@ class TestRnntLattice:
             build_rnnt_lattice(V4, [1, 2], uniform_lp(3, 1, 4))
         with pytest.raises(ShapeMismatch):
             build_rnnt_lattice(V4, [1], uniform_lp(3, 1, 5))
+        builders = (lambda lp: build_rnnt_lattice(V4, [1, 2], lp),
+                    lambda lp: build_wst_lattice(V4, [1, 2], lp, None))
+        lp = uniform_lp(3, 2, 4)
+        for bad in (math.nan, math.inf, NEG_INF):
+            lp[1, 1, 2] = bad
+            for build in builders:
+                if bad == NEG_INF:  # a zero probability stays legal
+                    assert math.isfinite(total_weight(build(lp)))
+                else:
+                    with pytest.raises(ShapeMismatch, match="NaN or \\+inf"):
+                        build(lp)
 
     def test_frame_position_set_on_every_lattice_arc(self):
         g = build_rnnt_lattice(V4, [1, 2], uniform_lp(3, 2, 4))

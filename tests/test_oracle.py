@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from wst.exceptions import TooManyPaths
+from wst.exceptions import ShapeMismatch, TooManyPaths
 from wst.graphs import PenaltyConfig, build_rnnt_lattice, build_wst_lattice
 from wst.loss import log_softmax
 from wst.numerics import log_sum
@@ -72,3 +72,16 @@ def test_brute_force_single_frame():
     rng = np.random.default_rng(2)
     z = rng.standard_normal((1, 1, 3))
     assert brute_force_loss(z, []) == pytest.approx(-log_softmax(z)[0, 0, 0], abs=1e-12)
+
+
+@pytest.mark.parametrize("criterion", ["rnnt", "wst"])
+@pytest.mark.parametrize("bad", ["nan", "inf", "all -inf"])
+def test_brute_force_rejects_non_finite_logits(criterion, bad):
+    # the loss's own check, before log-softmax could warn or give NaN
+    z = np.random.default_rng(0).standard_normal((3, 3, 5))
+    if bad == "all -inf":
+        z[:] = -math.inf
+    else:
+        z[1, 2, 0] = float(bad)
+    with pytest.raises(ShapeMismatch, match="logits must be finite"):
+        brute_force_loss(z, [1, 2], criterion)

@@ -25,6 +25,7 @@ from wst.toytrain import (
     run_experiment,
     train,
 )
+from wst.vocab import Vocab
 
 SMALL_TASK = ToyTask(vocab_size=5, train_size=12, eval_size=6, min_len=2, max_len=4, seed=3)
 
@@ -104,6 +105,13 @@ class TestTaskData:
         ("criterion", lambda: ExperimentConfig(criterion=1)),
         ("task", lambda: ExperimentConfig(task={"vocab_size": 5})),
         ("penalties", lambda: ExperimentConfig(penalties=None)),
+        pytest.param("rate", lambda: CorruptionSpec("sub", "x"), id="spec-rate-str"),
+        pytest.param("seed", lambda: CorruptionSpec("sub", 0.1, "a"), id="spec-seed-str"),
+        pytest.param("rate", lambda: CorruptionSpec("sub", True, 1.5), id="spec-rate-bool"),
+        pytest.param("lambda1", lambda: PenaltyConfig("a", 0), id="penalty-lambda1-str"),
+        pytest.param("lambda1", lambda: PenaltyConfig(True, 0), id="penalty-lambda1-bool"),
+        pytest.param("size", lambda: Vocab(2.5), id="vocab-size-float"),
+        pytest.param("size", lambda: Vocab("5"), id="vocab-size-str"),
     ])
     def test_wrong_type_named(self, field, make):
         with pytest.raises(ValueError, match=f"^{field} must be of type"):
@@ -113,6 +121,9 @@ class TestTaskData:
         task = ToyTask(vocab_size=np.int64(5), seed=np.int32(3))
         assert task.feature_dim == 4
         assert ExperimentConfig(learning_rate=1, momentum=np.float32(0.5)).learning_rate == 1
+        assert Vocab(np.int64(5)).star_id == 5
+        assert CorruptionSpec("sub", np.float32(0.5), np.int32(3)).seed == 3
+        assert PenaltyConfig(-1, np.float64(-0.5)).lambda1 == -1
 
     def test_smallest_valid_task(self):
         task = ToyTask(vocab_size=2, min_len=1, max_len=1, train_size=1, eval_size=0)
@@ -289,10 +300,12 @@ class TestRunExperiment:
 
 class TestConfigRoundTrip:
     def test_json_round_trip(self):
-        cfg = small_config(criterion="wst", penalties=PenaltyConfig(-0.3, -0.7),
-                           corruption=CorruptionSpec("ins", 0.3, 9))
-        d = json.loads(json.dumps(config_to_dict(cfg)))
-        assert config_from_dict(d) == cfg
+        # json writes -inf as -Infinity and reads it back as a float
+        for penalties in (PenaltyConfig(-0.3, -0.7), PenaltyConfig(NEG_INF, NEG_INF)):
+            cfg = small_config(criterion="wst", penalties=penalties,
+                               corruption=CorruptionSpec("ins", 0.3, 9))
+            d = json.loads(json.dumps(config_to_dict(cfg)))
+            assert config_from_dict(d) == cfg
 
     def test_defaults_round_trip(self):
         cfg = ExperimentConfig()
