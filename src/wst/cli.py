@@ -142,21 +142,15 @@ def cmd_score(args) -> int:
     missing = sorted(set(refs) - set(hyps))
     if missing:
         raise WstError(f"hypotheses missing for ids: {missing[:5]}")
-    subs = ins = dels = total = 0
-    for uid, ref in refs.items():
-        s, i, d = corruption.edit_counts(ref, hyps[uid])
-        subs += s
-        ins += i
-        dels += d
-        total += len(ref)
-    if total == 0:
+    counts = corruption.score_corpus(refs.values(), [hyps[uid] for uid in refs])
+    if counts["total_ref_tokens"] == 0:
         raise WstError("reference corpus is empty; WER undefined")
     report = {
-        "wer": (subs + ins + dels) / total,
-        "sub": subs,
-        "ins": ins,
-        "del": dels,
-        "ref_tokens": total,
+        "wer": counts["error_rate"],
+        "sub": counts["sub_count"],
+        "ins": counts["ins_count"],
+        "del": counts["del_count"],
+        "ref_tokens": counts["total_ref_tokens"],
     }
     _emit(args, json.dumps(report) + "\n")
     return 0

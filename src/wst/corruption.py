@@ -105,36 +105,26 @@ def edit_counts(ref: Sequence[int], hyp: Sequence[int]) -> Tuple[int, int, int]:
     # count, so the least score has the least cost, then the most substitutions.
     w = n + m + 1
     dist = [[0] * (m + 1) for _ in range(n + 1)]
-    op = [[""] * (m + 1) for _ in range(n + 1)]
     for i in range(1, n + 1):
         dist[i][0] = i * w
-        op[i][0] = "d"
     for j in range(1, m + 1):
         dist[0][j] = j * w
-        op[0][j] = "i"
     for i in range(1, n + 1):
         ri = ref[i - 1]
         for j in range(1, m + 1):
             sub = dist[i - 1][j - 1] + (0 if ri == hyp[j - 1] else w - 1)
-            ins = dist[i][j - 1] + w
-            dele = dist[i - 1][j] + w
-            best = min(sub, ins, dele)
-            dist[i][j] = best
-            if sub == best:
-                op[i][j] = "m" if ri == hyp[j - 1] else "s"
-            elif ins == best:
-                op[i][j] = "i"
-            else:
-                op[i][j] = "d"
+            dist[i][j] = min(sub, dist[i][j - 1] + w, dist[i - 1][j] + w)
+    # Trace back in the order the minimum above prefers: substitution or
+    # match, then insertion, then deletion.
     subs = ins = dels = 0
     i, j = n, m
     while i > 0 or j > 0:
-        o = op[i][j]
-        if o in ("m", "s"):
-            subs += o == "s"
+        match = i > 0 and j > 0 and ref[i - 1] == hyp[j - 1]
+        if i > 0 and j > 0 and dist[i][j] == dist[i - 1][j - 1] + (0 if match else w - 1):
+            subs += not match
             i -= 1
             j -= 1
-        elif o == "i":
+        elif j > 0 and dist[i][j] == dist[i][j - 1] + w:
             ins += 1
             j -= 1
         else:
@@ -155,25 +145,20 @@ def wer(ref: Sequence[int], hyp: Sequence[int]) -> Tuple[float, int, int, int]:
     return (subs + ins + dels) / len(ref), subs, ins, dels
 
 
-def measure_corruption(
-    vocab: Vocab,
-    transcripts: Sequence[Sequence[int]],
-    spec: CorruptionSpec,
-) -> Dict[str, float]:
-    """Realized error rates of the corruption procedure on a dataset.
+def score_corpus(refs: Sequence[Sequence[int]], hyps: Sequence[Sequence[int]]) -> Dict[str, float]:
+    """Pooled edit counts and rates of ``hyps`` against ``refs``.
 
-    Rates are pooled over the corpus: total edit counts divided by the total
-    reference token count, broken down by substitution / insertion / deletion.
+    Rates are total edit counts divided by the total reference token count (at
+    least 1), broken down by substitution / insertion / deletion.
     """
-    corrupted = corrupt_dataset(vocab, transcripts, spec)
     total_tokens = 0
     subs = ins = dels = 0
-    for clean, noisy in zip(transcripts, corrupted):
-        s, i, d = edit_counts(clean, noisy)
+    for ref, hyp in zip(refs, hyps, strict=True):
+        s, i, d = edit_counts(ref, hyp)
         subs += s
         ins += i
         dels += d
-        total_tokens += len(clean)
+        total_tokens += len(ref)
     denom = max(total_tokens, 1)
     return {
         "total_ref_tokens": total_tokens,
@@ -185,3 +170,12 @@ def measure_corruption(
         "del_rate": dels / denom,
         "error_rate": (subs + ins + dels) / denom,
     }
+
+
+def measure_corruption(
+    vocab: Vocab,
+    transcripts: Sequence[Sequence[int]],
+    spec: CorruptionSpec,
+) -> Dict[str, float]:
+    """Realized error rates of the corruption procedure on a dataset, as ``score_corpus`` pools them."""
+    return score_corpus(transcripts, corrupt_dataset(vocab, transcripts, spec))

@@ -96,15 +96,13 @@ def _sweep(vert: np.ndarray, horiz: np.ndarray) -> np.ndarray:
 
 def _occupancy(alpha_src: np.ndarray, arc: np.ndarray, beta_dst: np.ndarray, total: np.ndarray) -> np.ndarray:
     """Posterior arc occupancy exp(alpha + arc + beta - total); exactly 0 off every path."""
-    with np.errstate(invalid="ignore"):
-        log_g = alpha_src + arc + beta_dst
-        return np.where(log_g == NEG_INF, 0.0, np.exp(log_g - total[:, None, None]))
+    log_g = alpha_src + arc + beta_dst
+    return np.where(log_g == NEG_INF, 0.0, np.exp(log_g - total[:, None, None]))
 
 
 def _plain_share(gamma: np.ndarray, plain: np.ndarray, arc: np.ndarray) -> np.ndarray:
     """The part of occupancy ``gamma`` taken by the plain arc of a twin whose log-sum is ``arc``."""
-    with np.errstate(invalid="ignore"):
-        return np.where(gamma > 0.0, gamma * np.exp(plain - arc), 0.0)
+    return np.where(gamma > 0.0, gamma * np.exp(plain - arc), 0.0)
 
 
 def _grid_loss_grad(
@@ -151,19 +149,20 @@ def _grid_loss_grad(
     total = alpha[:, t_len, u_len]
     if (total == NEG_INF).any():  # only after log_softmax overflowed; occupancy divides by the total
         raise NoPath(f"lattice of item {int(np.argmax(total == NEG_INF))} admits no accepting path")
-    gamma_vert = _occupancy(alpha[:, :t_len, :u_len], vert, beta[:, :t_len, 1:], total)
-    gamma_horiz = _occupancy(alpha[:, :t_len], horiz, beta[:, 1:], total)
-    if penalties is None:
-        return total, gamma_horiz, gamma_vert, flat
+    # Huge logits can overflow exp here; the caller rejects a non-finite result.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        gamma_vert = _occupancy(alpha[:, :t_len, :u_len], vert, beta[:, :t_len, 1:], total)
+        gamma_horiz = _occupancy(alpha[:, :t_len], horiz, beta[:, 1:], total)
+        if penalties is None:
+            return total, gamma_horiz, gamma_vert, flat
 
-    gamma_tok = _plain_share(gamma_vert, tok, vert)
-    gamma_blank = _plain_share(gamma_horiz, blank, horiz)
-    gamma_star = gamma_horiz - gamma_blank
-    gamma_star[:, :, :u_len] += gamma_vert - gamma_tok
-    # d(star)/d(logp_blank) = -p_blank / (1 - p_blank); zero occupancy rows
-    # contribute nothing even where the factor would blow up.
-    p_blank = np.exp(blank)
-    with np.errstate(divide="ignore", invalid="ignore"):
+        gamma_tok = _plain_share(gamma_vert, tok, vert)
+        gamma_blank = _plain_share(gamma_horiz, blank, horiz)
+        gamma_star = gamma_horiz - gamma_blank
+        gamma_star[:, :, :u_len] += gamma_vert - gamma_tok
+        # d(star)/d(logp_blank) = -p_blank / (1 - p_blank); zero occupancy rows
+        # contribute nothing even where the factor would blow up.
+        p_blank = np.exp(blank)
         factor = p_blank / np.expm1(blank)  # = -p/(1-p)
         d_blank = gamma_blank + np.where(gamma_star > 0.0, gamma_star * factor, 0.0)
     return total, d_blank, gamma_tok, flat
@@ -229,24 +228,13 @@ def _target_ids(ys, v_size: int) -> np.ndarray:
     return arr.astype(int, copy=False)
 
 
-def _loss_and_grad(z, ys, penalties, grad_wrt) -> Tuple[np.ndarray, np.ndarray]:
-    """Validated log total weight [B] and gradient for a [B, T, U+1, V] batch."""
-    if grad_wrt not in ("logits", "logprobs"):
-        raise ValueError(f"grad_wrt must be 'logits' or 'logprobs', got {grad_wrt!r}")
-    _check_grid(z, ys)
-    lp = log_softmax(z)
-    total, *planes = _grid_loss_grad(lp, ys, penalties)
-    grad = _logit_grad(lp, *planes) if grad_wrt == "logits" else _logprob_grad(lp, *planes)
-    return total, grad
-
-
-def _single_loss(logits, tokens, penalties, grad_wrt) -> Tuple[float, np.ndarray]:
+def _single_loss(logits, tokens, criterion, penalties, grad_wrt) -> Tuple[float, np.ndarray]:
+    """``batched_grid_loss`` on a batch of one [T, U+1, V] item."""
     z = np.asarray(logits, dtype=float)
     if z.ndim != 3:
         raise ShapeMismatch(f"expected a [T][U+1][|V|] logit tensor, got {z.ndim} dimensions")
-    ys = _target_ids(list(tokens), z.shape[-1]).reshape(1, -1)
-    total, grad = _loss_and_grad(z[None], ys, penalties, grad_wrt)
-    return float(-total[0]), grad[0]
+    loss, grad = batched_grid_loss(z[None], [list(tokens)], criterion, penalties, grad_wrt)
+    return float(loss[0]), grad[0]
 
 
 def rnnt_loss(logits, tokens: Sequence[int], grad_wrt: str = "logits") -> Tuple[float, np.ndarray]:
@@ -255,7 +243,7 @@ def rnnt_loss(logits, tokens: Sequence[int], grad_wrt: str = "logits") -> Tuple[
     ``logits`` is a [T][U+1][|V|] tensor of unnormalized scores; row-wise
     log-softmax is applied internally.
     """
-    return _single_loss(logits, tokens, None, grad_wrt)
+    return _single_loss(logits, tokens, "rnnt", None, grad_wrt)
 
 
 def wst_loss(
@@ -270,7 +258,7 @@ def wst_loss(
     this reduces exactly (bit-for-bit) to ``rnnt_loss``. For finite penalties the loss is strictly below the
     standard loss, since the path set is a strict superset.
     """
-    return _single_loss(logits, tokens, penalties_for("wst", penalties), grad_wrt)
+    return _single_loss(logits, tokens, "wst", penalties, grad_wrt)
 
 
 def batched_grid_loss(
@@ -284,9 +272,10 @@ def batched_grid_loss(
 
     logits: [B, T, U+1, V]; ys: [B, U]. Per-item results are bit-identical to
     the corresponding single calls (the recurrence is elementwise over the
-    batch axis). Inputs are validated as in the single calls: non-finite
-    logits or mismatched shapes raise ShapeMismatch, and a blank or
-    out-of-vocabulary target raises the VocabError of ``validate_transcript``.
+    batch axis). Non-finite logits or mismatched shapes raise ShapeMismatch,
+    and a blank or out-of-vocabulary target raises the VocabError of
+    ``validate_transcript``. Finite logits so large that log-softmax leaves an
+    item no path, or that its arc occupancies overflow, raise NoPath.
     ``penalties`` are ignored for ``"rnnt"``; for ``"wst"``, None means
     ``PenaltyConfig()``.
     """
@@ -294,6 +283,15 @@ def batched_grid_loss(
     if z.ndim != 4:
         raise ShapeMismatch(f"expected a [B][T][U+1][|V|] tensor, got {z.ndim} dimensions")
     pen = penalties_for(criterion, penalties)
-    total, grad = _loss_and_grad(z, _target_ids(ys, z.shape[-1]), pen, grad_wrt)
-    return -total, grad
+    ys = _target_ids(ys, z.shape[-1])
+    if grad_wrt not in ("logits", "logprobs"):
+        raise ValueError(f"grad_wrt must be 'logits' or 'logprobs', got {grad_wrt!r}")
+    _check_grid(z, ys)
+    lp = log_softmax(z)
+    total, d_blank, d_tok, flat = _grid_loss_grad(lp, ys, pen)
+    bad = ~(np.isfinite(d_blank).all(axis=(1, 2)) & np.isfinite(d_tok).all(axis=(1, 2)))
+    if bad.any():  # exp overflowed in the occupancy step of huge logits
+        raise NoPath(f"arc occupancies of item {int(np.argmax(bad))} overflowed")
+    grad_fn = _logit_grad if grad_wrt == "logits" else _logprob_grad
+    return -total, grad_fn(lp, d_blank, d_tok, flat)
 

@@ -19,7 +19,8 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .corruption import CorruptionSpec, corrupt_dataset, edit_counts, measure_corruption
+from .corruption import CorruptionSpec, corrupt_dataset, measure_corruption, score_corpus
+from .corruption import edit_counts  # noqa: F401 -- bench/tracing.py wraps toytrain.edit_counts
 from .exceptions import Divergence, NoPath, ShapeMismatch
 from .graphs import PenaltyConfig, penalties_for
 from .loss import batched_grid_loss
@@ -267,14 +268,8 @@ def evaluate(
     params: ToyModelParams, eval_set: List[Utterance], max_symbols_per_frame: int = 4
 ) -> float:
     """Pooled WER over the eval set: total edits / total reference tokens."""
-    edits = 0
-    total = 0
-    for feats, toks in eval_set:
-        hyp = greedy_decode(params, feats, max_symbols_per_frame)
-        s, i, d = edit_counts(toks, hyp)
-        edits += s + i + d
-        total += len(toks)
-    return edits / max(total, 1)
+    hyps = [greedy_decode(params, feats, max_symbols_per_frame) for feats, _ in eval_set]
+    return score_corpus([toks for _, toks in eval_set], hyps)["error_rate"]
 
 
 def run_experiment(config: ExperimentConfig) -> Dict:

@@ -22,12 +22,18 @@ BLANK_ID = 0
 
 
 def check_field_types(obj) -> None:
-    """ValueError naming the first field of dataclass ``obj`` whose value has the wrong type."""
+    """ValueError naming the first field of dataclass ``obj`` whose value has the wrong type.
+
+    A numpy scalar that passes is stored as the Python scalar it holds, so every
+    field serializes to JSON.
+    """
     for f in fields(obj):
         value = getattr(obj, f.name)
         kind = {int: numbers.Integral, float: numbers.Real}.get(f.type, f.type)
         if isinstance(value, bool) or not isinstance(value, kind):  # no field is a bool
             raise ValueError(f"{f.name} must be of type {f.type.__name__}, got {value!r}")
+        if isinstance(value, np.generic):
+            object.__setattr__(obj, f.name, value.item())  # the classes are frozen
 
 
 @dataclass(frozen=True)

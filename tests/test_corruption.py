@@ -9,12 +9,23 @@ from wst.corruption import (
     corrupt_dataset,
     edit_counts,
     measure_corruption,
+    score_corpus,
     wer,
 )
 from wst.exceptions import EmptyReference
 from wst.vocab import Vocab
 
 V = Vocab(11)
+
+
+def levenshtein(a, b):
+    """Plain unit-cost edit distance, one row of the table at a time."""
+    row = list(range(len(b) + 1))
+    for i, x in enumerate(a, 1):
+        prev, row[0] = row[0], i
+        for j, y in enumerate(b, 1):
+            prev, row[j] = row[j], min(row[j] + 1, row[j - 1] + 1, prev + (x != y))
+    return row[-1]
 
 
 class TestSpecValidation:
@@ -131,6 +142,30 @@ class TestEditCounts:
         total = sum(edit_counts(a, b))
         assert total >= abs(len(a) - len(b))
         assert total <= max(len(a), len(b))
+        assert total == levenshtein(a, b)
+
+
+class TestScoreCorpus:
+    @given(st.lists(st.tuples(st.lists(st.integers(1, 4), max_size=6),
+                              st.lists(st.integers(1, 4), max_size=6)), max_size=5))
+    @settings(max_examples=100)
+    @example([])
+    @example([([], [1, 2])])
+    def test_pools_edit_counts(self, pairs):
+        counts = [edit_counts(ref, hyp) for ref, hyp in pairs]
+        subs, ins, dels = (sum(c[k] for c in counts) for k in range(3))
+        total = sum(len(ref) for ref, _ in pairs)
+        denom = max(total, 1)
+        assert score_corpus([r for r, _ in pairs], [h for _, h in pairs]) == {
+            "total_ref_tokens": total,
+            "sub_count": subs,
+            "ins_count": ins,
+            "del_count": dels,
+            "sub_rate": subs / denom,
+            "ins_rate": ins / denom,
+            "del_rate": dels / denom,
+            "error_rate": (subs + ins + dels) / denom,
+        }
 
 
 class TestWer:

@@ -230,6 +230,18 @@ class TestOverflowingLogits:
         with pytest.raises(NoPath, match="item 1"):
             batched_grid_loss(zs, [[1], [1]], criterion)
 
+    @pytest.mark.parametrize("entry, item", [
+        (lambda z, toks: rnnt_loss(z, toks), 0),
+        (lambda z, toks: wst_loss(z, toks, INF_PENALTY), 0),
+        (lambda z, toks: batched_grid_loss(np.stack([np.zeros_like(z), z]), [toks, toks]), 1),
+        (lambda z, toks: batched_grid_loss(z[None], [toks], grad_wrt="logprobs"), 0),
+    ], ids=["rnnt_loss", "wst_loss", "batched_rnnt", "batched_logprobs"])
+    def test_occupancy_overflow_is_no_path(self, entry, item):
+        """log-softmax holds at x1e200, but exp overflows in the occupancy step."""
+        z = np.random.default_rng(0).standard_normal((2, 4, 3, 5))[0] * 1e200
+        with pytest.raises(NoPath, match=f"arc occupancies of item {item} overflowed"):
+            entry(z, [1, 2])
+
     def test_overflow_off_every_path_is_finite(self):
         z = self.Z[..., [0, 2, 1]]  # the overflowing entry is now a token no arc reads
         loss, grad = rnnt_loss(z, [1])

@@ -7,7 +7,7 @@ import pytest
 from wst.corruption import CorruptionSpec
 from wst import toytrain
 from wst.exceptions import Divergence, NoPath, ShapeMismatch
-from wst.graphs import PenaltyConfig
+from wst.graphs import PenaltyConfig, build_ws_transcript_graph
 from wst.loss import batched_grid_loss, rnnt_loss
 from wst.numerics import NEG_INF
 from wst.toytrain import (
@@ -26,6 +26,7 @@ from wst.toytrain import (
     train,
 )
 from wst.vocab import Vocab
+from wst.wfst import export_json
 
 SMALL_TASK = ToyTask(vocab_size=5, train_size=12, eval_size=6, min_len=2, max_len=4, seed=3)
 
@@ -124,6 +125,16 @@ class TestTaskData:
         assert Vocab(np.int64(5)).star_id == 5
         assert CorruptionSpec("sub", np.float32(0.5), np.int32(3)).seed == 3
         assert PenaltyConfig(-1, np.float64(-0.5)).lambda1 == -1
+        # numpy scalars are stored as Python scalars, so configs and graphs serialize
+        config = ExperimentConfig(task=task, learning_rate=np.int64(1), momentum=np.float32(0.5),
+                                  corruption=CorruptionSpec("sub", np.float32(0.5), np.int32(3)),
+                                  penalties=PenaltyConfig(-1, np.float64(-0.5)))
+        assert [type(v) for v in (task.vocab_size, task.seed, config.learning_rate, config.momentum,
+                                  config.corruption.rate, config.corruption.seed,
+                                  config.penalties.lambda1, config.penalties.lambda2)] == [
+            int, int, int, float, float, int, int, float]
+        assert json.loads(json.dumps(config_to_dict(config)))["task"]["seed"] == 3
+        assert '"label": 5' in export_json(build_ws_transcript_graph(Vocab(np.int64(5)), [1], None))
 
     def test_smallest_valid_task(self):
         task = ToyTask(vocab_size=2, min_len=1, max_len=1, train_size=1, eval_size=0)
@@ -228,6 +239,12 @@ class TestTrain:
     def test_unknown_criterion_rejected(self):
         with pytest.raises(ValueError, match="criterion"):
             small_config(criterion="ctc")
+
+    def test_diverging_run_is_divergence(self):
+        with pytest.raises(Divergence) as exc:
+            train(small_config(learning_rate=1e300))
+        assert (exc.value.epoch, exc.value.batch) == (0, 3)
+        assert isinstance(exc.value.__cause__, NoPath)
 
     def test_no_path_is_divergence(self, monkeypatch):
         def no_path(*args, **kwargs):
