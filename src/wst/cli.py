@@ -67,6 +67,7 @@ def cmd_graph(args) -> int:
     tokens = _parse_tokens(args.tokens)
     vocab_size = args.vocab_size or max(tokens, default=1) + 1
     vocab = Vocab(vocab_size)
+    # penalties are the one switch between each plain graph and its weakly supervised form
     penalties = (graphs.PenaltyConfig(args.lambda1, args.lambda2)
                  if args.type in ("wst", "ws-transcript") else None)
     if args.type in ("rnnt", "wst"):
@@ -78,14 +79,9 @@ def cmd_graph(args) -> int:
             if t_len is None:
                 raise WstError("--frames is required for lattice graphs without --tensor")
             lp = np.full((t_len, len(tokens) + 1, vocab_size), -math.log(vocab_size))
-        if args.type == "rnnt":
-            g = graphs.build_rnnt_lattice(vocab, tokens, lp)
-        else:
-            g = graphs.build_wst_lattice(vocab, tokens, lp, penalties)
-    elif args.type == "transcript":
-        g = graphs.build_transcript_graph(vocab, tokens)
-    else:  # ws-transcript
-        g = graphs.build_ws_transcript_graph(vocab, tokens, penalties)
+        g = graphs._grid_lattice(vocab, tokens, lp, penalties)
+    else:
+        g = graphs._chain(vocab, tokens, penalties)
     if args.out == "dot":
         _emit(args, wfst.export_dot(g, _symbols(vocab)))
     else:
@@ -98,13 +94,11 @@ def cmd_loss(args) -> int:
     tensor, kind = _load_tensor(args.tensor)
     penalties = graphs.PenaltyConfig(args.lambda1, args.lambda2) if args.criterion == "wst" else None
     grad_wrt = "logits" if kind == "logits" else "logprobs"
-    if args.criterion == "rnnt":
-        value, grad = loss.rnnt_loss(tensor, tokens, grad_wrt=grad_wrt)
-    else:
-        value, grad = loss.wst_loss(tensor, tokens, penalties, grad_wrt=grad_wrt)
+    losses, grads = loss.batched_grid_loss(tensor[None], [tokens], args.criterion, penalties, grad_wrt)
+    value = float(losses[0])
     report = {"criterion": args.criterion, "loss": value}
     if args.grad:
-        report["grad"] = grad.reshape(-1).tolist()
+        report["grad"] = grads[0].reshape(-1).tolist()
     if args.oracle:
         oracle_value = oracle.brute_force_loss(
             tensor, tokens, criterion=args.criterion, penalties=penalties)

@@ -28,11 +28,9 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .exceptions import ShapeMismatch
-from .numerics import star_log_prob
+from .numerics import LN_HALF, star_log_prob
 from .vocab import Vocab, check_field_types, validate_transcript
 from .wfst import EPSILON, Arc, ArcKind, Wfst
-
-LN_HALF = math.log(0.5)
 
 
 @dataclass(frozen=True)

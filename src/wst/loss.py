@@ -228,11 +228,18 @@ def _target_ids(ys, v_size: int) -> np.ndarray:
     return arr.astype(int, copy=False)
 
 
-def _single_loss(logits, tokens, criterion, penalties, grad_wrt) -> Tuple[float, np.ndarray]:
-    """``batched_grid_loss`` on a batch of one [T, U+1, V] item."""
+def _item_logits(logits, tokens: Sequence[int]) -> np.ndarray:
+    """One item's [T, U+1, V] logits as a float array, checked as a batch of one."""
     z = np.asarray(logits, dtype=float)
     if z.ndim != 3:
         raise ShapeMismatch(f"expected a [T][U+1][|V|] logit tensor, got {z.ndim} dimensions")
+    _check_grid(z[None], _target_ids([list(tokens)], z.shape[-1]))
+    return z
+
+
+def _single_loss(logits, tokens, criterion, penalties, grad_wrt) -> Tuple[float, np.ndarray]:
+    """``batched_grid_loss`` on a batch of one [T, U+1, V] item."""
+    z = _item_logits(logits, tokens)
     loss, grad = batched_grid_loss(z[None], [list(tokens)], criterion, penalties, grad_wrt)
     return float(loss[0]), grad[0]
 

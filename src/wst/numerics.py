@@ -11,7 +11,7 @@ import numpy as np
 
 NEG_INF = float("-inf")
 
-_LOG_HALF = math.log(0.5)
+LN_HALF = math.log(0.5)
 
 
 def log_add(a: float, b: float) -> float:
@@ -43,7 +43,7 @@ def log1mexp(b):
     b = np.asarray(b, dtype=float)
     c = np.minimum(b, 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(c > _LOG_HALF, np.log(-np.expm1(c)), np.log1p(-np.exp(c)))
+        out = np.where(c > LN_HALF, np.log(-np.expm1(c)), np.log1p(-np.exp(c)))
     out = np.where(c >= 0.0, NEG_INF, out)
     return float(out) if out.ndim == 0 else out
 

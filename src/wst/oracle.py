@@ -9,7 +9,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .exceptions import TooManyPaths
 from .graphs import PenaltyConfig, _grid_lattice, penalties_for
-from .loss import _finite_logits, log_softmax
+from .loss import _item_logits, log_softmax
 from .numerics import log_sum
 from .vocab import Vocab
 from .wfst import Wfst, out_arcs, topo_sort
@@ -20,33 +20,23 @@ MAX_PATHS = 10**6
 def enumerate_paths(g: Wfst, max_paths: int = MAX_PATHS) -> List[Tuple[Tuple[int, ...], float]]:
     """Every start->final path as (arc-id sequence, path log-weight).
 
-    Iterative depth-first traversal; raises TooManyPaths past the guard and
-    CyclicGraph for cyclic inputs.
+    Iterative depth-first traversal over one stack of partial paths, so paths
+    come out in lexicographic order of their arc ids; raises TooManyPaths past
+    the guard and CyclicGraph for cyclic inputs.
     """
     topo_sort(g)  # acyclicity check
     adj = out_arcs(g)
     paths: List[Tuple[Tuple[int, ...], float]] = []
-    # frames: (state, next out-arc offset, entered via an arc?)
-    stack: List[List] = [[g.start, 0, False]]
-    cur: List[int] = []
-    cur_w = [0.0]
+    stack: List[Tuple[int, Tuple[int, ...], float]] = [(g.start, (), 0.0)]
     while stack:
-        state, idx, _ = stack[-1]
-        if state == g.final and idx == 0:
+        state, arc_ids, weight = stack.pop()
+        if state == g.final:
             if len(paths) >= max_paths:
                 raise TooManyPaths(f"more than {max_paths} accepting paths")
-            paths.append((tuple(cur), cur_w[-1]))
-        if idx < len(adj[state]):
-            stack[-1][1] = idx + 1
-            arc_id, arc = adj[state][idx]
-            cur.append(arc_id)
-            cur_w.append(cur_w[-1] + arc.weight)
-            stack.append([arc.dst, 0, True])
-        else:
-            _, _, entered = stack.pop()
-            if entered:
-                cur.pop()
-                cur_w.pop()
+            paths.append((arc_ids, weight))
+        # pushed in reverse, so the out-arcs pop in insertion order
+        for arc_id, arc in reversed(adj[state]):
+            stack.append((arc.dst, arc_ids + (arc_id,), weight + arc.weight))
     return paths
 
 
@@ -59,7 +49,7 @@ def brute_force_loss(
 ) -> float:
     """Loss by explicit summation over every enumerated alignment path."""
     pen = penalties_for(criterion, penalties)
-    lp = log_softmax(_finite_logits(logits))
+    lp = log_softmax(_item_logits(logits, tokens))
     g = _grid_lattice(Vocab(lp.shape[-1]), tokens, lp, pen)
     paths = enumerate_paths(g, max_paths=max_paths)
     return -log_sum(w for _, w in paths)

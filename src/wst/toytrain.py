@@ -137,15 +137,16 @@ def init_params(task: ToyTask, hidden: int, seed: int) -> ToyModelParams:
 
 def forward(params: ToyModelParams, features: np.ndarray, tokens: Sequence[int]) -> np.ndarray:
     """Logit tensor [T][U+1][|V|] for one utterance."""
-    logits, _, _ = _forward_batch(params, features[None], np.asarray([list(tokens)], dtype=int))
+    xs = np.asarray(features, dtype=float)[None]
+    logits, _, _ = _forward_batch(params, xs, np.asarray([list(tokens)], dtype=int))
     return logits[0]
 
 
 def _forward_batch(params: ToyModelParams, xs: np.ndarray, ys: np.ndarray):
     """xs: [B, T, D]; ys: [B, U]. Returns (logits, tanh activations, contexts)."""
-    if xs.shape[-1] != params.encoder.shape[1]:
+    if xs.ndim != 3 or xs.shape[-1] != params.encoder.shape[1]:
         raise ShapeMismatch(
-            f"feature dim {xs.shape[-1]} does not match encoder input {params.encoder.shape[1]}")
+            f"features of shape {xs.shape[1:]} do not match encoder input {params.encoder.shape[1]}")
     f = xs @ params.encoder.T                       # [B, T, H]
     b_sz, u_len = ys.shape
     ctx = np.concatenate([np.zeros((b_sz, 1), dtype=int), ys], axis=1)  # blank-prefixed
@@ -153,7 +154,7 @@ def _forward_batch(params: ToyModelParams, xs: np.ndarray, ys: np.ndarray):
     h = f[:, :, None, :] + g[:, None, :, :]
     np.tanh(h, out=h)
     logits = h.reshape(-1, h.shape[-1]) @ params.joiner_w.T + params.joiner_b
-    return logits.reshape(*h.shape[:-1], -1), h, ctx
+    return logits.reshape(*h.shape[:-1], params.joiner_w.shape[0]), h, ctx
 
 
 def _backward_batch(params: ToyModelParams, xs, ctx, h, dlogits) -> ToyModelParams:
@@ -241,22 +242,21 @@ def train(config: ExperimentConfig) -> Tuple[ToyModelParams, List[float]]:
 def greedy_decode(
     params: ToyModelParams, features: np.ndarray, max_symbols_per_frame: int = 4
 ) -> List[int]:
-    """Frame-synchronous greedy search; never emits blank or star.
+    """Frame-synchronous greedy search on the trainer's forward pass; never emits blank or star.
 
-    Emits the argmax token while it is non-blank (updating the one-token
-    context and staying on the frame, up to the per-frame cap), otherwise
-    advances to the next frame.
+    One ``_forward_batch`` call scores every frame after every one-token context.
+    The search emits the argmax token while it is non-blank (it becomes the context,
+    up to the per-frame cap), otherwise advances to the next frame.
     """
     if max_symbols_per_frame < 1:
         raise ValueError("max_symbols_per_frame must be >= 1")
-    f = features @ params.encoder.T
+    # row c of a frame's [V, V] table holds the logits after context c
+    table = forward(params, features, range(1, params.joiner_w.shape[0]))
     out: List[int] = []
     ctx = 0  # blank context
-    for t in range(f.shape[0]):
+    for frame in table:
         for _ in range(max_symbols_per_frame):
-            h = np.tanh(f[t] + params.decoder_embed[ctx])
-            logits = params.joiner_w @ h + params.joiner_b
-            best = int(np.argmax(logits))
+            best = int(np.argmax(frame[ctx]))
             if best == 0:
                 break
             out.append(best)

@@ -2,9 +2,11 @@
 
 Graphs are immutable after construction. The forward-backward routines assume
 acyclicity and process states in a deterministic topological order, so results
-are bit-reproducible across runs. Self-loops are representable (the compact
-weakly supervised transcript graph needs them for export) but any cyclic graph
-is rejected by ``topo_sort`` and everything built on it.
+are bit-reproducible across runs. Beta is the forward sweep of the reversed
+automaton, from the final state in reverse topological order. Self-loops are
+representable (the compact weakly supervised transcript graph needs them for
+export) but any cyclic graph is rejected by ``topo_sort`` and everything built
+on it.
 """
 
 import heapq
@@ -12,7 +14,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .exceptions import CyclicGraph, NoPath
 from .numerics import NEG_INF, log_add
@@ -105,45 +107,41 @@ def topo_sort(g: Wfst) -> List[int]:
     return order
 
 
-def forward_scores(g: Wfst, order: Optional[Sequence[int]] = None) -> List[float]:
-    """Log total weight of all start->state paths (alpha).
+def _push(num_states: int, source: int, arcs, order: Iterable[int]) -> List[float]:
+    """Log total weight of all paths from ``source`` to each state.
 
-    Accumulation order is fixed by the topological order and arc insertion
-    order, so results are bit-reproducible.
+    ``arcs`` are (from, to, weight) triples. Each state in ``order`` pushes its
+    score along its arcs in list order, so results are bit-reproducible.
     """
-    if order is None:
-        order = topo_sort(g)
-    adj = out_arcs(g)
-    alpha = [NEG_INF] * g.num_states
-    alpha[g.start] = 0.0
+    adj: List[List[Tuple[int, float]]] = [[] for _ in range(num_states)]
+    for src, dst, w in arcs:
+        adj[src].append((dst, w))
+    score = [NEG_INF] * num_states
+    score[source] = 0.0
     for s in order:
-        a_s = alpha[s]
-        if a_s == NEG_INF:
+        s_score = score[s]
+        if s_score == NEG_INF:
             continue
-        for _, arc in adj[s]:
-            alpha[arc.dst] = log_add(alpha[arc.dst], a_s + arc.weight)
-    return alpha
+        for dst, w in adj[s]:
+            score[dst] = log_add(score[dst], s_score + w)
+    return score
+
+
+def forward_scores(g: Wfst, order: Optional[Sequence[int]] = None) -> List[float]:
+    """Log total weight of all start->state paths (alpha)."""
+    order = topo_sort(g) if order is None else order
+    return _push(g.num_states, g.start, [(a.src, a.dst, a.weight) for a in g.arcs], order)
 
 
 def backward_scores(g: Wfst, order: Optional[Sequence[int]] = None) -> List[float]:
-    """Log total weight of all state->final paths (beta)."""
-    if order is None:
-        order = topo_sort(g)
-    adj = out_arcs(g)
-    beta = [NEG_INF] * g.num_states
-    beta[g.final] = 0.0
-    for s in reversed(order):
-        acc = beta[s]
-        for _, arc in adj[s]:
-            acc = log_add(acc, arc.weight + beta[arc.dst])
-        beta[s] = acc
-    return beta
+    """Log total weight of all state->final paths (beta): alpha of the reversed automaton."""
+    order = topo_sort(g) if order is None else order
+    return _push(g.num_states, g.final, [(a.dst, a.src, a.weight) for a in g.arcs], reversed(order))
 
 
 def total_weight(g: Wfst) -> float:
     """log sum over all accepting paths of exp(summed arc weights)."""
-    order = topo_sort(g)
-    return forward_scores(g, order)[g.final]
+    return forward_scores(g)[g.final]
 
 
 def arc_posteriors(g: Wfst) -> List[float]:

@@ -5,7 +5,7 @@ import pytest
 
 from wst.exceptions import ShapeMismatch, TooManyPaths
 from wst.graphs import PenaltyConfig, build_rnnt_lattice, build_wst_lattice
-from wst.loss import log_softmax
+from wst.loss import log_softmax, rnnt_loss
 from wst.numerics import log_sum
 from wst.oracle import brute_force_loss, enumerate_paths
 from wst.vocab import Vocab
@@ -38,6 +38,20 @@ def test_path_weights_sum_to_total():
     g = build_wst_lattice(Vocab(4), [1, 2], lp, PenaltyConfig(-0.3, -0.7))
     paths = enumerate_paths(g)
     assert log_sum(w for _, w in paths) == pytest.approx(total_weight(g), abs=1e-10)
+
+
+def test_paths_in_arc_id_order():
+    rng = np.random.default_rng(3)
+    lp = log_softmax(rng.standard_normal((3, 3, 4)))
+    g = build_wst_lattice(Vocab(4), [1, 2], lp, PenaltyConfig())
+    ids = [p for p, _ in enumerate_paths(g)]
+    assert len(ids) > 1 and ids == sorted(ids)
+
+
+def test_long_chain_single_path():
+    n = 5000
+    g = Wfst(n + 1, 0, n, [Arc(i, i + 1, EPSILON, EPSILON, -1.0) for i in range(n)])
+    assert enumerate_paths(g) == [(tuple(range(n)), -float(n))]
 
 
 def test_guard():
@@ -85,3 +99,12 @@ def test_brute_force_rejects_non_finite_logits(criterion, bad):
         z[1, 2, 0] = float(bad)
     with pytest.raises(ShapeMismatch, match="logits must be finite"):
         brute_force_loss(z, [1, 2], criterion)
+
+
+@pytest.mark.parametrize("logits", [np.float64(0.0), np.zeros((2, 2, 0)), np.zeros((2, 2, 1))],
+                         ids=["0-d", "V=0", "V=1"])
+def test_brute_force_rejects_bad_shapes_like_the_loss(logits):
+    with pytest.raises(ShapeMismatch):
+        rnnt_loss(logits, [1])
+    with pytest.raises(ShapeMismatch):
+        brute_force_loss(logits, [1])

@@ -148,11 +148,23 @@ class TestForward:
         feats, toks = generate_task_data(SMALL_TASK)[0][0]
         z = forward(params, feats, toks)
         assert z.shape == (feats.shape[0], len(toks) + 1, SMALL_TASK.vocab_size)
+        z = forward(params, np.zeros((0, SMALL_TASK.feature_dim)), toks)
+        assert z.shape == (0, len(toks) + 1, SMALL_TASK.vocab_size)
 
     def test_feature_dim_mismatch(self):
         params = init_params(SMALL_TASK, 8, 0)
+        bad = np.zeros((4, SMALL_TASK.feature_dim + 1))
         with pytest.raises(ShapeMismatch):
-            forward(params, np.zeros((4, SMALL_TASK.feature_dim + 1)), [1, 2])
+            forward(params, bad, [1, 2])
+        with pytest.raises(ShapeMismatch):
+            greedy_decode(params, bad)
+        with pytest.raises(ShapeMismatch):
+            greedy_decode(params, np.zeros(SMALL_TASK.feature_dim))
+
+    def test_decode_accepts_nested_lists(self):
+        params = init_params(SMALL_TASK, 8, 0)
+        feats = np.random.default_rng(3).standard_normal((4, SMALL_TASK.feature_dim))
+        assert greedy_decode(params, feats.tolist()) == greedy_decode(params, feats)
 
     def test_row_u_depends_only_on_previous_token(self):
         params = init_params(SMALL_TASK, 8, 0)
@@ -256,7 +268,33 @@ class TestTrain:
         assert (exc.value.epoch, exc.value.batch) == (0, 0)
 
 
+def step_by_step_decode(params, features, max_symbols_per_frame):
+    """Reference greedy search: one joiner evaluation per emitted or blank step."""
+    f = features @ params.encoder.T
+    out = []
+    ctx = 0
+    for t in range(f.shape[0]):
+        for _ in range(max_symbols_per_frame):
+            h = np.tanh(f[t] + params.decoder_embed[ctx])
+            best = int(np.argmax(params.joiner_w @ h + params.joiner_b))
+            if best == 0:
+                break
+            out.append(best)
+            ctx = best
+    return out
+
+
 class TestGreedyDecode:
+    def test_matches_step_by_step_reference(self):
+        rng = np.random.default_rng(6)
+        for seed in range(20):
+            params = init_params(SMALL_TASK, 8, seed)
+            for arr in params.fields():
+                arr *= 3.0  # sharper logits, so that contexts emit several tokens
+            feats = rng.standard_normal((int(rng.integers(1, 9)), SMALL_TASK.feature_dim))
+            for cap in (1, 2, 3):
+                assert greedy_decode(params, feats, cap) == step_by_step_decode(params, feats, cap)
+
     def test_never_emits_blank_or_star(self):
         params = init_params(SMALL_TASK, 8, 0)
         rng = np.random.default_rng(1)

@@ -129,6 +129,18 @@ class TestArcPosteriors:
                 outflow = sum(p for a, p in zip(g.arcs, post) if a.src == s)
                 assert inflow == pytest.approx(outflow, abs=1e-10)
 
+    def test_backward_scores_sum_paths_to_final(self):
+        rng = np.random.default_rng(13)
+        for _ in range(50):
+            g = random_dag(rng, int(rng.integers(2, 10)), arc_prob=0.4)
+            beta = backward_scores(g)
+            for s in range(g.num_states):
+                paths = enumerate_paths(Wfst(g.num_states, s, g.final, g.arcs))
+                if paths:
+                    assert beta[s] == pytest.approx(log_sum(w for _, w in paths), abs=1e-12)
+                else:
+                    assert beta[s] == NEG_INF
+
     def test_forward_backward_cut_consistency(self):
         rng = np.random.default_rng(9)
         g = random_dag(rng, 8, arc_prob=0.7)
