@@ -33,6 +33,12 @@ dense sensitivity tensor is built. Target entries are read and written
 through one flat index into the C-contiguous log-probabilities. The raw
 log-probability-level gradient (plain occupancy accumulation) is available via
 ``grad_wrt="logprobs"``.
+
+The dense [B, T, U+1, V] passes, log-softmax and the logit gradient, take one
+cache-sized block of whole rows through all their steps at a time, so each
+reads and writes main memory once. Every step is elementwise or reduces along
+the last axis, so the result is bit-identical to whole-array steps. Both
+gradients overwrite the log-probabilities, the one dense array a call allocates.
 """
 
 from typing import Optional, Sequence, Tuple
@@ -44,6 +50,19 @@ from .graphs import PenaltyConfig, penalties_for
 from .numerics import NEG_INF, star_log_prob
 from .vocab import Vocab, validate_transcript
 
+_BLOCK_BYTES = 256 * 1024  # a row block of the dense passes; 64 KB-1 MB ran alike, 4 MB (twice a 2 MB L2) slower
+
+
+def _row_blocks(*arrays):
+    """[rows, width] views of C-contiguous arrays with one leading shape, _BLOCK_BYTES of the first at a time.
+
+    There is always a block, so that rows of length 0 reach numpy's reductions and raise.
+    """
+    views = [a.reshape(a.size // max(1, a.shape[-1]), a.shape[-1]) for a in arrays]
+    step = max(1, _BLOCK_BYTES // max(1, views[0][:1].nbytes))
+    for i in range(0, max(1, len(views[0])), step):
+        yield tuple(v[i:i + step] for v in views)
+
 
 def log_softmax(logits) -> np.ndarray:
     """Numerically stable log-softmax over the last axis, as a C-contiguous array.
@@ -52,11 +71,12 @@ def log_softmax(logits) -> np.ndarray:
     -inf, the log of a probability that is 0 in floating point.
     """
     z = np.ascontiguousarray(logits, dtype=float)
-    m = z.max(axis=-1, keepdims=True)
-    with np.errstate(over="ignore"):
-        shifted = z - m
-    shifted -= np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    return shifted
+    out = np.empty_like(z)
+    with np.errstate(over="ignore"):  # only z - m can overflow
+        for zb, shifted in _row_blocks(z, out):
+            np.subtract(zb, zb.max(axis=-1, keepdims=True), out=shifted)
+            shifted -= np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    return out
 
 
 def _skew(plane: np.ndarray, diags: int, col_offset: int, width: int) -> np.ndarray:
@@ -178,27 +198,20 @@ def _logit_grad(lp: np.ndarray, d_blank: np.ndarray, d_tok: np.ndarray, flat: np
     u_len = d_tok.shape[2]
     s = d_blank.copy()
     s[:, :, :u_len] += d_tok
-    g = np.exp(lp, out=lp)
-    g *= s[..., None]
-    g[..., 0] -= d_blank
-    g.reshape(-1)[flat] -= d_tok
-    return g
+    for g, s_rows in _row_blocks(lp, s[..., None]):
+        np.exp(g, out=g)
+        g *= s_rows
+    lp[..., 0] -= d_blank
+    lp.reshape(-1)[flat] -= d_tok
+    return lp
 
 
 def _logprob_grad(lp: np.ndarray, d_blank: np.ndarray, d_tok: np.ndarray, flat: np.ndarray) -> np.ndarray:
-    """-d(log total)/d(lp): the negated dense arc occupancies."""
-    dlp = np.zeros_like(lp)
-    dlp[..., 0] = d_blank
-    dlp.reshape(-1)[flat] = d_tok
-    return -dlp
-
-
-def _finite_logits(logits) -> np.ndarray:
-    """``logits`` as a float array; ShapeMismatch unless every entry is finite."""
-    z = np.asarray(logits, dtype=float)
-    if not np.isfinite(z).all():
-        raise ShapeMismatch("logits must be finite")
-    return z
+    """-d(log total)/d(lp), written over ``lp``: the negated dense arc occupancies, -0.0 off every arc."""
+    lp.fill(-0.0)
+    lp[..., 0] = -d_blank
+    lp.reshape(-1)[flat] = -d_tok
+    return lp
 
 
 def _check_grid(z: np.ndarray, ys: np.ndarray) -> None:
@@ -212,7 +225,8 @@ def _check_grid(z: np.ndarray, ys: np.ndarray) -> None:
         raise ShapeMismatch(f"expected [B][U] targets with B={b_sz}, got shape {ys.shape}")
     if ys.shape[1] + 1 != cols:
         raise ShapeMismatch(f"tensor has {cols} transcript rows, expected U+1={ys.shape[1] + 1}")
-    _finite_logits(z)
+    if not np.isfinite(z).all():
+        raise ShapeMismatch("logits must be finite")
     bad = (ys < 1) | (ys >= v_size)
     if bad.any():
         validate_transcript(Vocab(v_size), ys[int(np.argmax(bad.any(axis=1)))])
@@ -228,18 +242,24 @@ def _target_ids(ys, v_size: int) -> np.ndarray:
     return arr.astype(int, copy=False)
 
 
-def _item_logits(logits, tokens: Sequence[int]) -> np.ndarray:
-    """One item's [T, U+1, V] logits as a float array, checked as a batch of one."""
+def _item_tensor(logits) -> np.ndarray:
+    """One item's logits as a float array; ShapeMismatch unless it is [T, U+1, V]."""
     z = np.asarray(logits, dtype=float)
     if z.ndim != 3:
         raise ShapeMismatch(f"expected a [T][U+1][|V|] logit tensor, got {z.ndim} dimensions")
+    return z
+
+
+def _item_logits(logits, tokens: Sequence[int]) -> np.ndarray:
+    """One item's [T, U+1, V] logits as a float array, checked as a batch of one."""
+    z = _item_tensor(logits)
     _check_grid(z[None], _target_ids([list(tokens)], z.shape[-1]))
     return z
 
 
 def _single_loss(logits, tokens, criterion, penalties, grad_wrt) -> Tuple[float, np.ndarray]:
-    """``batched_grid_loss`` on a batch of one [T, U+1, V] item."""
-    z = _item_logits(logits, tokens)
+    """``batched_grid_loss`` on a batch of one [T, U+1, V] item, which checks the rest."""
+    z = _item_tensor(logits)
     loss, grad = batched_grid_loss(z[None], [list(tokens)], criterion, penalties, grad_wrt)
     return float(loss[0]), grad[0]
 

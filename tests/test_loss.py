@@ -1,12 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from wst import loss as loss_module
 from wst.exceptions import BlankInTranscript, NoPath, OutOfVocabulary, ShapeMismatch
 from wst.graphs import LN_HALF, PenaltyConfig, build_rnnt_lattice, build_wst_lattice, penalties_for
-from wst.loss import _grid_loss_grad, batched_grid_loss, log_softmax, rnnt_loss, wst_loss
+from wst.loss import (_BLOCK_BYTES, _grid_loss_grad, _logprob_grad, batched_grid_loss, log_softmax,
+                      rnnt_loss, wst_loss)
 from wst.numerics import NEG_INF, star_log_prob
 from wst.numerics import star_log_prob as _star_rows  # the name reference_grid_loss uses
 from wst.oracle import brute_force_loss
@@ -43,6 +46,20 @@ class TestLogSoftmax:
         out = log_softmax(rng.standard_normal((4, 3, 5)))
         sums = np.log(np.exp(out).sum(-1))
         assert np.abs(sums).max() <= 1e-12
+
+    @pytest.mark.parametrize("shape, expected", [
+        ((), np.zeros(1)),  # a 0-d input comes back as one row of one entry
+        ((0, 5), np.zeros((0, 5))),
+        ((2, 0, 4), np.zeros((2, 0, 4))),
+    ])
+    def test_edge_shapes(self, shape, expected):
+        out = log_softmax(np.full(shape, 2.5))
+        assert out.shape == expected.shape and np.array_equal(out, expected)
+
+    @pytest.mark.parametrize("shape", [(3, 0), (0,), (2, 0, 0)])
+    def test_empty_rows_rejected(self, shape):
+        with pytest.raises(ValueError, match="zero-size array to reduction operation maximum"):
+            log_softmax(np.zeros(shape))
 
 
 class TestRnntLoss:
@@ -413,6 +430,67 @@ class TestWavefrontKernel:
         assert np.all(star_log_prob(log_softmax(z)[..., 0], 4) == NEG_INF)
 
 
+def unblocked_log_softmax(z):
+    """log-softmax with each step over the whole array at once."""
+    shifted = z - z.max(axis=-1, keepdims=True)
+    shifted -= np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    return shifted
+
+
+# (2, 7, 4, 2048) spans 3.5 blocks of 256 KB; a row of (1, 2, 3, 40000) is longer than a block
+BLOCK_SHAPES = [(2, 7, 4, 2048), (1, 2, 3, 40000)]
+
+
+class TestBlockedDensePasses:
+    """The dense passes over shapes that cross row-block boundaries, bit for bit."""
+
+    def test_shapes_cross_block_boundaries(self):
+        rows_per_block = _BLOCK_BYTES // (2048 * 8)
+        assert 2 * 7 * 4 >= 3 * rows_per_block and (2 * 7 * 4) % rows_per_block
+        assert 40000 * 8 > _BLOCK_BYTES
+
+    @pytest.mark.parametrize("shape", BLOCK_SHAPES)
+    def test_matches_cell_loop(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        z = rng.standard_normal(shape) * 3.0
+        ys = rng.integers(1, shape[-1], size=(shape[0], shape[2] - 1))
+        assert np.array_equal(log_softmax(z), unblocked_log_softmax(z))
+        lams = (LN_HALF, LN_HALF)
+        for criterion, use_star in (("rnnt", False), ("wst", True)):
+            for grad_wrt in ("logits", "logprobs"):
+                _, ref_loss, ref_grad = reference_grid_loss(z, ys, use_star, *lams, grad_wrt)
+                loss, grad = batched_grid_loss(z, ys, criterion, PenaltyConfig(*lams), grad_wrt)
+                assert np.array_equal(loss, ref_loss)
+                assert np.array_equal(grad, ref_grad)
+
+    @pytest.mark.parametrize("criterion", ["rnnt", "wst"])
+    def test_logprob_grad_keeps_the_sign_of_zero(self, criterion):
+        rng = np.random.default_rng(21)
+        lp = log_softmax(rng.standard_normal((2, 3, 4, 6)))
+        ys = rng.integers(1, 6, size=(2, 3))
+        _, d_blank, d_tok, flat = _grid_loss_grad(lp, ys, penalties_for(criterion))
+        dlp = np.zeros_like(lp)
+        dlp[..., 0] = d_blank
+        dlp.reshape(-1)[flat] = d_tok
+        got = _logprob_grad(lp.copy(), d_blank, d_tok, flat)
+        assert np.array_equal(got, -dlp)
+        assert np.array_equal(np.signbit(got), np.signbit(-dlp))
+
+    @pytest.mark.parametrize("grad_wrt", ["logits", "logprobs"])
+    def test_peak_memory_is_one_dense_array(self, grad_wrt):
+        """The gradient is the one dense array a call allocates; the rest is block-sized or smaller."""
+        rng = np.random.default_rng(19)
+        z = rng.standard_normal((4, 24, 9, 1024))
+        ys = rng.integers(1, 1024, size=(4, 8))
+        tracemalloc.start()
+        try:
+            batched_grid_loss(z, ys, "wst", None, grad_wrt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * z.nbytes
+
+
 class TestBatchedValidation:
     Z = np.random.default_rng(16).standard_normal((2, 3, 3, 5))
     YS = np.asarray([[1, 2], [3, 4]])
@@ -450,6 +528,14 @@ class TestBatchedValidation:
     def test_unknown_grad_wrt(self):
         with pytest.raises(ValueError, match="grad_wrt"):
             batched_grid_loss(self.Z, self.YS, grad_wrt="bogus")
+
+    def test_single_item_checked_once(self, monkeypatch):
+        shapes = []
+        check = loss_module._check_grid
+        monkeypatch.setattr(loss_module, "_check_grid", lambda z, ys: shapes.append(z.shape) or check(z, ys))
+        rnnt_loss(self.Z[0], [1, 2])
+        wst_loss(self.Z[0], [1, 2], None)
+        assert shapes == [(1, 3, 3, 5)] * 2
 
 
 def _rnnt(z, toks):
