@@ -41,8 +41,11 @@ def _parse_lambda(text: str) -> float:
 def _load_tensor(path: str):
     with open(path) as fh:
         obj = json.load(fh)
-    t, u, v = int(obj["T"]), int(obj["U"]), int(obj["V"])
-    data = np.asarray(obj["data"], dtype=float)
+    try:
+        t, u, v = int(obj["T"]), int(obj["U"]), int(obj["V"])
+        data = np.asarray(obj["data"], dtype=float)
+    except (TypeError, ValueError, KeyError, OverflowError) as exc:
+        raise WstError(f"tensor file {path}: need an object with integer T, U, V and numeric data ({exc!r})")
     if data.size != t * (u + 1) * v:
         raise WstError(f"tensor file {path}: data has {data.size} values, expected {t * (u + 1) * v}")
     kind = obj.get("kind", "logits")
@@ -109,19 +112,23 @@ def cmd_loss(args) -> int:
 
 
 def _read_jsonl(path: str):
-    rows = []
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append(json.loads(line))
+        return [json.loads(line) for line in fh if line.strip()]
+
+
+def _read_token_rows(path: str):
+    """The rows of a JSONL file of {"id": string or integer, "tokens": [integers]} objects."""
+    rows = _read_jsonl(path)
+    if not all(isinstance(r, dict) and isinstance(r.get("id"), (str, int)) and isinstance(r.get("tokens"), list)
+               and all(type(tok) is int for tok in r["tokens"]) for r in rows):
+        raise WstError(f'{path}: every row must be {{"id": string or integer, "tokens": [integers]}}')
     return rows
 
 
 def cmd_corrupt(args) -> int:
     vocab = Vocab(args.vocab_size)
     spec = corruption.CorruptionSpec(args.kind, args.rate, args.seed)
-    rows = _read_jsonl(args.input)
+    rows = _read_token_rows(args.input)
     noisy = corruption.corrupt_dataset(vocab, [r["tokens"] for r in rows], spec)
     out = "".join(
         json.dumps({"id": r["id"], "tokens": toks}) + "\n" for r, toks in zip(rows, noisy)
@@ -131,8 +138,8 @@ def cmd_corrupt(args) -> int:
 
 
 def cmd_score(args) -> int:
-    refs = {r["id"]: r["tokens"] for r in _read_jsonl(args.ref)}
-    hyps = {r["id"]: r["tokens"] for r in _read_jsonl(args.hyp)}
+    refs = {r["id"]: r["tokens"] for r in _read_token_rows(args.ref)}
+    hyps = {r["id"]: r["tokens"] for r in _read_token_rows(args.hyp)}
     missing = sorted(set(refs) - set(hyps))
     if missing:
         raise WstError(f"hypotheses missing for ids: {missing[:5]}")

@@ -12,6 +12,8 @@ Four constructions:
 The lattices come from one grid builder and the transcript graphs from one
 chain builder: each plain form is the weakly supervised one without star arcs,
 and ``penalties is None`` is the switch (``penalties_for`` maps a criterion).
+``_check_grid`` is the one input contract of a score grid and its transcript,
+checked once by the grid builder, the loss kernel and the oracle alike.
 
 Grid state (t, u) has id t*(U+1)+u; the pre-final state is T*(U+1) and the
 final state T*(U+1)+1. The terminating blank arc from (T-1, U) is mandatory
@@ -94,20 +96,35 @@ def _chain(vocab: Vocab, tokens: Sequence[int], penalties: Optional[PenaltyConfi
     return Wfst(num_states=u_len + 2, start=0, final=final, arcs=arcs)
 
 
-def _check_tensor(vocab: Vocab, tokens: Sequence[int], logp) -> np.ndarray:
-    lp = np.asarray(logp, dtype=float)
-    if lp.ndim != 3:
-        raise ShapeMismatch(f"expected a [T][U+1][|V|] tensor, got {lp.ndim} dimensions")
-    t_len, rows, v = lp.shape
+def item_tensor(scores) -> np.ndarray:
+    """One item's scores as a float array; ShapeMismatch unless it is [T, U+1, V]."""
+    z = np.asarray(scores, dtype=float)
+    if z.ndim != 3:
+        raise ShapeMismatch(f"expected a [T][U+1][|V|] tensor, got {z.ndim} dimensions")
+    return z
+
+
+def _check_grid(scores: np.ndarray, ys) -> np.ndarray:
+    """The grid contract: [B, T, U+1, V] scores, V >= 2 and T >= 1, and [B, U] ids; returns int ids.
+
+    A bad id raises the VocabError of ``validate_transcript`` for the first bad row.
+    Finiteness is the caller's: logits and log-probabilities admit different values.
+    """
+    b_sz, t_len, cols, v_size = scores.shape
+    if v_size < 2:
+        raise ShapeMismatch("vocabulary axis must have size >= 2")
     if t_len < 1:
         raise ShapeMismatch("need at least one frame")
-    if rows != len(tokens) + 1:
-        raise ShapeMismatch(f"tensor has {rows} transcript rows, expected U+1={len(tokens) + 1}")
-    if v != vocab.size:
-        raise ShapeMismatch(f"tensor vocabulary axis is {v}, expected |V|={vocab.size}")
-    if not (lp < np.inf).all():  # -inf is a zero probability; NaN fails the comparison
-        raise ShapeMismatch("log-probabilities must not be NaN or +inf")
-    return lp
+    fast = isinstance(ys, np.ndarray) and ys.dtype.kind == "i"  # a list may hide a bool among ints
+    ids = ys if fast else np.asarray(ys, dtype=object)
+    if ids.ndim != 2 or ids.shape[0] != b_sz:
+        raise ShapeMismatch(f"expected [B][U] targets with B={b_sz}, got shape {ids.shape}")
+    if ids.shape[1] + 1 != cols:
+        raise ShapeMismatch(f"tensor has {cols} transcript rows, expected U+1={ids.shape[1] + 1}")
+    bad = ((ids < 1) | (ids >= v_size)).any(axis=1) if fast else np.ones(b_sz, bool)
+    for row in ids[bad]:  # an object row that passes is a row of integral ids
+        validate_transcript(Vocab(v_size), row)
+    return ids.astype(int, copy=False)
 
 
 def penalties_for(criterion: str, penalties: Optional[PenaltyConfig] = None) -> Optional[PenaltyConfig]:
@@ -147,11 +164,14 @@ def _grid_lattice(vocab: Vocab, tokens: Sequence[int], logp,
     weight at (t, u) is the log of the average non-blank probability of that
     row. The terminating blank has no twin.
     """
-    validate_transcript(vocab, tokens)
-    lp = _check_tensor(vocab, tokens, logp)
-    t_len = lp.shape[0]
-    u_len = len(tokens)
-    cols = u_len + 1
+    lp = item_tensor(logp)
+    if lp.shape[-1] != vocab.size:
+        raise ShapeMismatch(f"tensor vocabulary axis is {lp.shape[-1]}, expected |V|={vocab.size}")
+    tokens = _check_grid(lp[None], [list(tokens)])[0]
+    if not (lp < np.inf).all():  # -inf is a zero probability; NaN fails the comparison
+        raise ShapeMismatch("log-probabilities must not be NaN or +inf")
+    t_len, cols, _ = lp.shape
+    u_len = cols - 1
 
     def sid(t: int, u: int) -> int:
         return t * cols + u

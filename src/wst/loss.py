@@ -7,6 +7,7 @@ hot path does not materialize arc objects: it runs the forward-backward
 recurrence directly on the T x (U+1) grid, which is mathematically identical
 to ``wfst.total_weight`` on the built lattice (the test suite asserts
 equality against both the lattice route and exhaustive path enumeration).
+A call checks its input once, against the grid contract the builders share.
 
 The recurrence is written once, in ``_sweep``, as a wavefront: cell (t, u)
 depends only on (t, u-1) and (t-1, u), so each anti-diagonal d = t + u is one
@@ -46,9 +47,8 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .exceptions import NoPath, ShapeMismatch
-from .graphs import PenaltyConfig, penalties_for
+from .graphs import PenaltyConfig, _check_grid, item_tensor, penalties_for
 from .numerics import NEG_INF, star_log_prob
-from .vocab import Vocab, validate_transcript
 
 _BLOCK_BYTES = 256 * 1024  # a row block of the dense passes; 64 KB-1 MB ran alike, 4 MB (twice a 2 MB L2) slower
 
@@ -68,13 +68,19 @@ def log_softmax(logits) -> np.ndarray:
     """Numerically stable log-softmax over the last axis, as a C-contiguous array.
 
     An entry more than about 1.8e308 below its row's maximum overflows to
-    -inf, the log of a probability that is 0 in floating point.
+    -inf, the log of a probability that is 0 in floating point. A 0-d input,
+    or a row whose maximum is NaN, +inf or -inf, raises ShapeMismatch.
     """
+    if np.ndim(logits) == 0:
+        raise ShapeMismatch("log-softmax needs an axis to normalise over")
     z = np.ascontiguousarray(logits, dtype=float)
     out = np.empty_like(z)
     with np.errstate(over="ignore"):  # only z - m can overflow
         for zb, shifted in _row_blocks(z, out):
-            np.subtract(zb, zb.max(axis=-1, keepdims=True), out=shifted)
+            m = zb.max(axis=-1, keepdims=True)
+            if not np.isfinite(m).all():
+                raise ShapeMismatch("log-softmax needs a finite maximum in every row")
+            np.subtract(zb, m, out=shifted)
             shifted -= np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     return out
 
@@ -214,52 +220,22 @@ def _logprob_grad(lp: np.ndarray, d_blank: np.ndarray, d_tok: np.ndarray, flat: 
     return lp
 
 
-def _check_grid(z: np.ndarray, ys: np.ndarray) -> None:
-    """Typed errors for [B, T, U+1, V] logits and [B, U] target ids."""
-    b_sz, t_len, cols, v_size = z.shape
-    if v_size < 2:
-        raise ShapeMismatch("vocabulary axis must have size >= 2")
-    if t_len < 1:
-        raise ShapeMismatch("need at least one frame")
-    if ys.ndim != 2 or ys.shape[0] != b_sz:
-        raise ShapeMismatch(f"expected [B][U] targets with B={b_sz}, got shape {ys.shape}")
-    if ys.shape[1] + 1 != cols:
-        raise ShapeMismatch(f"tensor has {cols} transcript rows, expected U+1={ys.shape[1] + 1}")
+def _finite_logits(z: np.ndarray) -> np.ndarray:
     if not np.isfinite(z).all():
         raise ShapeMismatch("logits must be finite")
-    bad = (ys < 1) | (ys >= v_size)
-    if bad.any():
-        validate_transcript(Vocab(v_size), ys[int(np.argmax(bad.any(axis=1)))])
-
-
-def _target_ids(ys, v_size: int) -> np.ndarray:
-    """Target ids as an int array; a bool, non-integral or too large id is out of vocabulary."""
-    arr = np.asarray(ys)
-    if arr.dtype.kind != "i" and arr.size:
-        rows = np.atleast_2d(np.asarray(ys, dtype=object))
-        for row in rows.reshape(-1, rows.shape[-1]):
-            validate_transcript(Vocab(max(v_size, 2)), row)
-    return arr.astype(int, copy=False)
-
-
-def _item_tensor(logits) -> np.ndarray:
-    """One item's logits as a float array; ShapeMismatch unless it is [T, U+1, V]."""
-    z = np.asarray(logits, dtype=float)
-    if z.ndim != 3:
-        raise ShapeMismatch(f"expected a [T][U+1][|V|] logit tensor, got {z.ndim} dimensions")
     return z
 
 
 def _item_logits(logits, tokens: Sequence[int]) -> np.ndarray:
     """One item's [T, U+1, V] logits as a float array, checked as a batch of one."""
-    z = _item_tensor(logits)
-    _check_grid(z[None], _target_ids([list(tokens)], z.shape[-1]))
-    return z
+    z = item_tensor(logits)
+    _check_grid(z[None], [list(tokens)])
+    return _finite_logits(z)
 
 
 def _single_loss(logits, tokens, criterion, penalties, grad_wrt) -> Tuple[float, np.ndarray]:
     """``batched_grid_loss`` on a batch of one [T, U+1, V] item, which checks the rest."""
-    z = _item_tensor(logits)
+    z = item_tensor(logits)
     loss, grad = batched_grid_loss(z[None], [list(tokens)], criterion, penalties, grad_wrt)
     return float(loss[0]), grad[0]
 
@@ -299,9 +275,9 @@ def batched_grid_loss(
 
     logits: [B, T, U+1, V]; ys: [B, U]. Per-item results are bit-identical to
     the corresponding single calls (the recurrence is elementwise over the
-    batch axis). Non-finite logits or mismatched shapes raise ShapeMismatch,
-    and a blank or out-of-vocabulary target raises the VocabError of
-    ``validate_transcript``. Finite logits so large that log-softmax leaves an
+    batch axis). Input that breaks the grid contract, ``graphs._check_grid``,
+    raises its ShapeMismatch or VocabError, and non-finite logits raise
+    ShapeMismatch. Finite logits so large that log-softmax leaves an
     item no path, or that its arc occupancies overflow, raise NoPath.
     ``penalties`` are ignored for ``"rnnt"``; for ``"wst"``, None means
     ``PenaltyConfig()``.
@@ -310,10 +286,10 @@ def batched_grid_loss(
     if z.ndim != 4:
         raise ShapeMismatch(f"expected a [B][T][U+1][|V|] tensor, got {z.ndim} dimensions")
     pen = penalties_for(criterion, penalties)
-    ys = _target_ids(ys, z.shape[-1])
     if grad_wrt not in ("logits", "logprobs"):
         raise ValueError(f"grad_wrt must be 'logits' or 'logprobs', got {grad_wrt!r}")
-    _check_grid(z, ys)
+    ys = _check_grid(z, ys)
+    _finite_logits(z)
     lp = log_softmax(z)
     total, d_blank, d_tok, flat = _grid_loss_grad(lp, ys, pen)
     bad = ~(np.isfinite(d_blank).all(axis=(1, 2)) & np.isfinite(d_tok).all(axis=(1, 2)))

@@ -7,10 +7,10 @@ not share their machinery beyond the lattice builders and the input checks.
 
 from typing import List, Optional, Sequence, Tuple
 
-from .exceptions import TooManyPaths
+from .exceptions import NoPath, TooManyPaths
 from .graphs import PenaltyConfig, _grid_lattice, penalties_for
 from .loss import _item_logits, log_softmax
-from .numerics import log_sum
+from .numerics import NEG_INF, log_sum
 from .vocab import Vocab
 from .wfst import Wfst, out_arcs, topo_sort
 
@@ -47,9 +47,11 @@ def brute_force_loss(
     penalties: Optional[PenaltyConfig] = None,
     max_paths: int = MAX_PATHS,
 ) -> float:
-    """Loss by explicit summation over every enumerated alignment path."""
+    """Loss by explicit summation over every enumerated alignment path; NoPath if none has finite weight."""
     pen = penalties_for(criterion, penalties)
     lp = log_softmax(_item_logits(logits, tokens))
     g = _grid_lattice(Vocab(lp.shape[-1]), tokens, lp, pen)
-    paths = enumerate_paths(g, max_paths=max_paths)
-    return -log_sum(w for _, w in paths)
+    total = log_sum(w for _, w in enumerate_paths(g, max_paths=max_paths))
+    if total == NEG_INF:  # the kernel raises NoPath here too
+        raise NoPath("lattice admits no accepting path")
+    return -total

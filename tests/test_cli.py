@@ -104,6 +104,21 @@ class TestLoss:
         assert code == 1
         assert "error:" in err
 
+    @pytest.mark.parametrize("content", [
+        [1, 2, 3],
+        {"T": None, "U": 0, "V": 2, "data": [0.0, 0.0]},
+        {"T": 1e400, "U": 0, "V": 2, "data": [0.0, 0.0]},
+        {"T": 1, "U": 0, "V": 2, "data": {"a": 1}},
+        {"U": 0, "V": 2, "data": [0.0, 0.0]},
+    ], ids=["list", "null T", "infinite T", "object data", "no T"])
+    def test_malformed_tensor_file(self, capsys, tmp_path, content):
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(content))
+        for argv in (("loss", "--criterion", "rnnt"), ("graph", "--type", "rnnt", "--vocab-size", "2")):
+            code, _, err = run(capsys, *argv, "--tensor", str(path), "--tokens", "")
+            assert code == 1
+            assert f"tensor file {path}" in err
+
 
 class TestPenaltyWarnings:
     """Positive penalties warn only where a command uses them."""
@@ -175,6 +190,27 @@ class TestCorruptAndScore:
         code, _, err = run(capsys, "score", "--ref", str(ref), "--hyp", str(hyp))
         assert code == 1
         assert "missing" in err
+
+    @pytest.mark.parametrize("row", [
+        [0, [1, 2]],
+        {"id": 0, "tokens": None},
+        {"id": 0, "tokens": "ab"},
+        {"id": 0, "tokens": [1, 2.0]},
+        {"id": 0, "tokens": [1, True]},
+        {"id": [0], "tokens": [1]},
+        {"tokens": [1]},
+    ], ids=["list row", "null tokens", "string tokens", "float token", "bool token", "list id", "no id"])
+    def test_malformed_rows(self, capsys, tmp_path, row):
+        good = tmp_path / "good.jsonl"
+        bad = tmp_path / "bad.jsonl"
+        write_jsonl(good, [{"id": 0, "tokens": [1, 2, 1]}])
+        write_jsonl(bad, [row])
+        for argv in (("score", "--ref", str(good), "--hyp", str(bad)),
+                     ("score", "--ref", str(bad), "--hyp", str(good)),
+                     ("corrupt", "--input", str(bad), "--vocab-size", "3", "--kind", "sub", "--rate", "0.5")):
+            code, _, err = run(capsys, *argv)
+            assert code == 1
+            assert str(bad) in err
 
 
 class TestTrainAndSweep:

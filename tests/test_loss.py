@@ -48,7 +48,6 @@ class TestLogSoftmax:
         assert np.abs(sums).max() <= 1e-12
 
     @pytest.mark.parametrize("shape, expected", [
-        ((), np.zeros(1)),  # a 0-d input comes back as one row of one entry
         ((0, 5), np.zeros((0, 5))),
         ((2, 0, 4), np.zeros((2, 0, 4))),
     ])
@@ -60,6 +59,18 @@ class TestLogSoftmax:
     def test_empty_rows_rejected(self, shape):
         with pytest.raises(ValueError, match="zero-size array to reduction operation maximum"):
             log_softmax(np.zeros(shape))
+
+    @pytest.mark.parametrize("z", [2.5, np.inf, [np.nan, 1.0], [np.inf, 1.0], [-np.inf, -np.inf]],
+                             ids=["0-d", "0-d inf", "nan", "+inf", "all -inf"])
+    def test_unnormalisable_rejected(self, z):
+        with pytest.raises(ShapeMismatch):
+            log_softmax(z)
+
+    def test_bad_row_in_a_later_block_rejected(self):
+        z = np.zeros((3 * _BLOCK_BYTES // 32 + 1, 4))  # three blocks and one row
+        z[-1, 2] = np.nan
+        with pytest.raises(ShapeMismatch, match="finite maximum"):
+            log_softmax(z)
 
 
 class TestRnntLoss:

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from wst.exceptions import ShapeMismatch, TooManyPaths
+from wst.exceptions import NoPath, ShapeMismatch, TooManyPaths
 from wst.graphs import PenaltyConfig, build_rnnt_lattice, build_wst_lattice
-from wst.loss import log_softmax, rnnt_loss
+from wst.loss import batched_grid_loss, log_softmax, rnnt_loss
 from wst.numerics import log_sum
 from wst.oracle import brute_force_loss, enumerate_paths
 from wst.vocab import Vocab
@@ -108,3 +108,13 @@ def test_brute_force_rejects_bad_shapes_like_the_loss(logits):
         rnnt_loss(logits, [1])
     with pytest.raises(ShapeMismatch):
         brute_force_loss(logits, [1])
+
+
+@pytest.mark.parametrize("criterion", ["rnnt", "wst"])
+def test_brute_force_raises_no_path_like_the_kernel(criterion):
+    # the token logit is 2e308 below the row maximum, so every path has weight -inf
+    z = np.asarray([[[1e308, -1e308, 0.0]] * 2] * 2)
+    with pytest.raises(NoPath):
+        batched_grid_loss(z[None], [[1]], criterion)
+    with pytest.raises(NoPath):
+        brute_force_loss(z, [1], criterion)
