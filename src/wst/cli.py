@@ -46,6 +46,8 @@ def _load_tensor(path: str):
         data = np.asarray(obj["data"], dtype=float)
     except (TypeError, ValueError, KeyError, OverflowError) as exc:
         raise WstError(f"tensor file {path}: need an object with integer T, U, V and numeric data ({exc!r})")
+    if min(t, u, v) < 0:
+        raise WstError(f"tensor file {path}: T, U and V must be >= 0, got {t}, {u}, {v}")
     if data.size != t * (u + 1) * v:
         raise WstError(f"tensor file {path}: data has {data.size} values, expected {t * (u + 1) * v}")
     kind = obj.get("kind", "logits")

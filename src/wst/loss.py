@@ -12,15 +12,22 @@ A call checks its input once, against the grid contract the builders share.
 The recurrence is written once, in ``_sweep``, as a wavefront: cell (t, u)
 depends only on (t, u-1) and (t-1, u), so each anti-diagonal d = t + u is one
 vector step over arc weights stored skewed, cell (t, u) at (d, u), with -inf
-outside the grid. Alpha is the sweep from (0, 0), and beta is the same sweep
-on the grid reversed in both axes; one sweep computes both, over the forward
-and reversed planes stacked on the batch axis (2B rows), and splits them
-afterwards. The grid ends in a frame T whose only reachable cell is (T, U):
-the mandatory final blank is the one arc into it, with no bypass twin, so the
-log total weight is alpha at (T, U). Every cell sees the same operands as a
-cell-by-cell loop (``logaddexp(-inf, x) == x``, ``x + 0.0 == x``, and IEEE
-``+`` and ``logaddexp`` commute), and the recurrence is elementwise over the
-batch axis, so the result is bit-identical to one.
+outside the grid. A diagonal is one flat row that holds every item's U+1
+cells between -inf pad cells, 2B(U+3) in all, and the arc planes share that
+layout, so a step is three 1-D ufunc calls over the row (Bagby et al., SLT
+2018, lay out the anti-diagonals the same way). Arcs into pad cells are -inf,
+so the pads stay -inf and keep the items apart. Alpha is the sweep from
+(0, 0), and beta is the same sweep on the grid reversed in both axes; one
+sweep computes both, over the forward and reversed planes stacked on the
+batch axis (2B rows), and splits them afterwards. The grid ends in a frame T
+whose only reachable cell is (T, U): the mandatory final blank is the one arc
+into it, with no bypass twin, so the log total weight is alpha at (T, U).
+Every cell sees the same operands as a cell-by-cell loop (``logaddexp(-inf,
+x) == x``, ``x + 0.0 == x``, and IEEE ``+`` and ``logaddexp`` commute), and
+the recurrence is elementwise over the batch axis, so the result is
+bit-identical to one. Every path crosses each frame and each transcript
+position once, so an item's occupancies must sum to 1 over each; logits so
+large that the path weights lose that raise NoPath, not a wrong gradient.
 
 Gradients are with respect to the logits by default: arc occupancies are
 routed through the log-softmax Jacobian, and bypass arcs additionally apply
@@ -50,6 +57,7 @@ from .exceptions import NoPath, ShapeMismatch
 from .graphs import PenaltyConfig, _check_grid, item_tensor, penalties_for
 from .numerics import NEG_INF, star_log_prob
 
+_CONSERVATION_TOL = 1e-6  # far from both ends: residuals are ~1e-14 on ordinary logits, 1.5e-5 at x1e10
 _BLOCK_BYTES = 256 * 1024  # a row block of the dense passes; 64 KB-1 MB ran alike, 4 MB (twice a 2 MB L2) slower
 
 
@@ -101,20 +109,25 @@ def _sweep(vert: np.ndarray, horiz: np.ndarray) -> np.ndarray:
     """Forward log scores of a grid lattice from (0, 0), one anti-diagonal per step.
 
     vert [B, S, U] weighs the arcs (t, u) -> (t, u+1), horiz [B, S-1, U+1] the
-    arcs (t, u) -> (t+1, u); returns [B, S, U+1]. Skewed scores carry a -inf
-    column each side of the U+1 cells (cell u at column u+1), and vs one at each
-    end of the U vertical arcs, so vs[d, :-1] lines up an arc with the cell it enters.
+    arcs (t, u) -> (t+1, u); returns [B, S, U+1]. A diagonal is one flat row of
+    B items of U+3 cells: a -inf pad, the U+1 cells, a -inf pad. The arc planes
+    share that layout, each arc in the column of the cell it enters, so a step
+    is three ufunc calls over the row between its end pads. Pad cells take the
+    -inf arcs and so stay -inf, keeping the items apart.
     """
     b_sz, frames, u_len = vert.shape
     cols, diags = u_len + 1, frames + u_len
-    vs = _skew(vert, diags, 1, cols + 1)
-    hs = _skew(horiz, diags, 0, cols)
     a = np.full((diags, b_sz, cols + 2), NEG_INF)
     a[0, :, 1] = 0.0
-    for d in range(1, diags):
-        prev = a[d - 1]
-        np.logaddexp(prev[:, :-2] + vs[d - 1, :, :-1], prev[:, 1:-1] + hs[d - 1],
-                     out=a[d, :, 1:-1])
+    rows = a.reshape(diags, -1)
+    vs = _skew(vert, diags, 2, cols + 2).reshape(diags, -1)
+    hs = _skew(horiz, diags, 1, cols + 2).reshape(diags, -1)
+    t1, t2 = np.empty((2, rows.shape[1] - 2))
+    for left, mid, v, h, cur in zip(rows[:-1, :-2], rows[:-1, 1:-1], vs[:-1, 1:-1], hs[:-1, 1:-1],
+                                    rows[1:, 1:-1]):
+        np.add(left, v, out=t1)
+        np.add(mid, h, out=t2)
+        np.logaddexp(t1, t2, out=cur)
     t_ix = np.arange(frames)[:, None]
     u_ix = np.arange(cols)[None, :]
     return np.moveaxis(a[t_ix + u_ix, :, u_ix + 1], -1, 0)
@@ -124,6 +137,25 @@ def _occupancy(alpha_src: np.ndarray, arc: np.ndarray, beta_dst: np.ndarray, tot
     """Posterior arc occupancy exp(alpha + arc + beta - total); exactly 0 off every path."""
     log_g = alpha_src + arc + beta_dst
     return np.where(log_g == NEG_INF, 0.0, np.exp(log_g - total[:, None, None]))
+
+
+def _check_conservation(gamma_vert: np.ndarray, gamma_horiz: np.ndarray) -> None:
+    """Raise NoPath for an item whose twin occupancies break conservation.
+
+    Every path crosses each frame once and each transcript position once, so
+    gamma_horiz sums to 1 over u in every frame and gamma_vert to 1 over t at
+    every position. Logits so large that the path weights' log-sum loses
+    their count break that while staying finite; the residual is about 1e-14
+    on ordinary input. A non-finite residual is an overflow, which the caller
+    reports.
+    """
+    residual = np.maximum(np.abs(gamma_horiz.sum(axis=2) - 1.0).max(axis=1),
+                          np.abs(gamma_vert.sum(axis=1) - 1.0).max(axis=1, initial=0.0))
+    bad = np.isfinite(residual) & (residual > _CONSERVATION_TOL)
+    if bad.any():
+        item = int(np.argmax(bad))
+        raise NoPath(f"arc occupancies of item {item} do not sum to 1 per frame and position "
+                     f"(residual {residual[item]:.3g})")
 
 
 def _plain_share(gamma: np.ndarray, plain: np.ndarray, arc: np.ndarray) -> np.ndarray:
@@ -179,6 +211,7 @@ def _grid_loss_grad(
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         gamma_vert = _occupancy(alpha[:, :t_len, :u_len], vert, beta[:, :t_len, 1:], total)
         gamma_horiz = _occupancy(alpha[:, :t_len], horiz, beta[:, 1:], total)
+        _check_conservation(gamma_vert, gamma_horiz)
         if penalties is None:
             return total, gamma_horiz, gamma_vert, flat
 
@@ -278,7 +311,8 @@ def batched_grid_loss(
     batch axis). Input that breaks the grid contract, ``graphs._check_grid``,
     raises its ShapeMismatch or VocabError, and non-finite logits raise
     ShapeMismatch. Finite logits so large that log-softmax leaves an
-    item no path, or that its arc occupancies overflow, raise NoPath.
+    item no path, that its arc occupancies overflow, or that they no longer
+    sum to 1 over each frame and each position, raise NoPath.
     ``penalties`` are ignored for ``"rnnt"``; for ``"wst"``, None means
     ``PenaltyConfig()``.
     """

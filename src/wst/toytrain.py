@@ -14,8 +14,9 @@ sequential reductions.
 """
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -142,8 +143,27 @@ def forward(params: ToyModelParams, features: np.ndarray, tokens: Sequence[int])
     return logits[0]
 
 
-def _forward_batch(params: ToyModelParams, xs: np.ndarray, ys: np.ndarray):
-    """xs: [B, T, D]; ys: [B, U]. Returns (logits, tanh activations, contexts)."""
+def _scratch(pool: Optional[Dict[str, np.ndarray]], name: str, shape: Tuple[int, ...]) -> np.ndarray:
+    """An uninitialised float array of ``shape``.
+
+    Without a pool it is fresh. With one it is a view of the pool's grow-only
+    buffer ``name``, valid until the next request for that name, so the steps
+    of one ``train`` call reuse pages in place of faulting fresh ones in.
+    """
+    if pool is None:
+        return np.empty(shape)
+    size = math.prod(shape)
+    if name not in pool or pool[name].size < size:
+        pool[name] = np.empty(size)
+    return pool[name][:size].reshape(shape)
+
+
+def _forward_batch(params: ToyModelParams, xs: np.ndarray, ys: np.ndarray,
+                   pool: Optional[Dict[str, np.ndarray]] = None):
+    """xs: [B, T, D]; ys: [B, U]. Returns (logits, tanh activations, contexts).
+
+    The activations live in ``pool``'s buffer when one is given (see ``_scratch``).
+    """
     if xs.ndim != 3 or xs.shape[-1] != params.encoder.shape[1]:
         raise ShapeMismatch(
             f"features of shape {xs.shape[1:]} do not match encoder input {params.encoder.shape[1]}")
@@ -151,27 +171,31 @@ def _forward_batch(params: ToyModelParams, xs: np.ndarray, ys: np.ndarray):
     b_sz, u_len = ys.shape
     ctx = np.concatenate([np.zeros((b_sz, 1), dtype=int), ys], axis=1)  # blank-prefixed
     g = params.decoder_embed[ctx]                   # [B, U+1, H]
-    h = f[:, :, None, :] + g[:, None, :, :]
+    h = np.add(f[:, :, None, :], g[:, None, :, :],
+               out=_scratch(pool, "h", (b_sz, f.shape[1], u_len + 1, f.shape[2])))
     np.tanh(h, out=h)
-    logits = h.reshape(-1, h.shape[-1]) @ params.joiner_w.T + params.joiner_b
+    logits = h.reshape(-1, h.shape[-1]) @ params.joiner_w.T
+    logits += params.joiner_b
     return logits.reshape(*h.shape[:-1], params.joiner_w.shape[0]), h, ctx
 
 
-def _backward_batch(params: ToyModelParams, xs, ctx, h, dlogits) -> ToyModelParams:
-    """Gradient of sum-loss with respect to the parameters.
+def _backward_batch(params: ToyModelParams, xs, ctx, h, dlogits,
+                    pool: Optional[Dict[str, np.ndarray]] = None) -> ToyModelParams:
+    """Gradient of sum-loss with respect to the parameters; overwrites ``h``.
 
     The joiner products run on [B*T*(U+1), .] rows and the encoder product on
-    [B*T, .] rows, as single 2-D matrix products.
+    [B*T, .] rows, as single 2-D matrix products. The tanh slope 1 - h^2 is
+    written over ``h``, which is dead once the joiner weight gradient is taken.
     """
     hidden = h.shape[-1]
     h2 = h.reshape(-1, hidden)
     d2 = dlogits.reshape(-1, dlogits.shape[-1])
     db = dlogits.sum(axis=(0, 1, 2))
     dw = d2.T @ h2
-    dpre = d2 @ params.joiner_w                     # [B*T*(U+1), H]
-    slope = h2 * h2
-    np.subtract(1.0, slope, out=slope)
-    dpre *= slope
+    dpre = np.matmul(d2, params.joiner_w, out=_scratch(pool, "dpre", h2.shape))  # [B*T*(U+1), H]
+    np.multiply(h2, h2, out=h2)
+    np.subtract(1.0, h2, out=h2)
+    dpre *= h2
     dpre = dpre.reshape(h.shape)
     df = dpre.sum(axis=2)                           # [B, T, H]
     dg = dpre.sum(axis=1)                           # [B, U+1, H]
@@ -212,6 +236,7 @@ def train(config: ExperimentConfig) -> Tuple[ToyModelParams, List[float]]:
 
     params = init_params(task, config.hidden, task.seed)
     velocity = ToyModelParams(*(np.zeros_like(f) for f in params.fields()))
+    pool: Dict[str, np.ndarray] = {}  # the model passes' scratch buffers, owned by this call
     curve: List[float] = []
     for epoch in range(config.epochs):
         rng = np.random.default_rng(np.random.SeedSequence([task.seed, 3, epoch]))
@@ -221,14 +246,15 @@ def train(config: ExperimentConfig) -> Tuple[ToyModelParams, List[float]]:
         for b_idx, batch in enumerate(batches):
             xs = np.stack([utts[i][0] for i in batch])
             ys = np.asarray([utts[i][1] for i in batch], dtype=int).reshape(len(batch), -1)
-            logits, h, ctx = _forward_batch(params, xs, ys)
+            logits, h, ctx = _forward_batch(params, xs, ys, pool)
             try:
                 losses, dlogits = batched_grid_loss(
                     logits, ys, criterion=config.criterion, penalties=config.penalties)
-            except NoPath as exc:  # the logits overflowed log-softmax
+            except NoPath as exc:  # the logits grew too large for the loss
                 raise Divergence(epoch, b_idx) from exc
             loss_sum += float(losses.sum())
-            grads = _backward_batch(params, xs, ctx, h, dlogits / len(batch))
+            dlogits /= len(batch)
+            grads = _backward_batch(params, xs, ctx, h, dlogits, pool)
             for p, g, v in zip(params.fields(), grads.fields(), velocity.fields()):
                 if config.momentum > 0:
                     v *= config.momentum

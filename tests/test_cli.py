@@ -110,7 +110,8 @@ class TestLoss:
         {"T": 1e400, "U": 0, "V": 2, "data": [0.0, 0.0]},
         {"T": 1, "U": 0, "V": 2, "data": {"a": 1}},
         {"U": 0, "V": 2, "data": [0.0, 0.0]},
-    ], ids=["list", "null T", "infinite T", "object data", "no T"])
+        {"T": -1, "U": 0, "V": -1, "data": [0.5]},
+    ], ids=["list", "null T", "infinite T", "object data", "no T", "negative T and V"])
     def test_malformed_tensor_file(self, capsys, tmp_path, content):
         path = tmp_path / "t.json"
         path.write_text(json.dumps(content))

@@ -225,6 +225,25 @@ class TestBatchLoss:
                     assert losses[i] == l
                     assert np.array_equal(grads[i], g)
 
+    @pytest.mark.parametrize("t_len", [1, 2, 5])
+    @pytest.mark.parametrize("u_len", [0, 1, 4])
+    def test_flat_row_boundaries(self, t_len, u_len):
+        # a sweep diagonal is one flat row of every item's cells between -inf
+        # pads; neighbours with extreme edge cells must not leak into each other
+        rng = np.random.default_rng(100 * t_len + u_len)
+        big = rng.standard_normal((t_len, u_len + 1, 5)) * 60.0
+        boosted = rng.standard_normal((t_len, u_len + 1, 5))
+        boosted[..., 0] += 60.0
+        zs = np.stack([big, boosted, np.zeros_like(big), big[::-1].copy(), boosted])
+        ys = rng.integers(1, 5, size=(len(zs), u_len))
+        for criterion, pen in (("rnnt", None), ("wst", None), ("wst", NO_PENALTY)):
+            for grad_wrt in ("logits", "logprobs"):
+                losses, grads = batched_grid_loss(zs, ys, criterion, pen, grad_wrt)
+                for i in range(len(zs)):
+                    loss, grad = batched_grid_loss(zs[i:i + 1], ys[i:i + 1], criterion, pen, grad_wrt)
+                    assert np.array_equal(losses[i:i + 1], loss)
+                    assert np.array_equal(grads[i:i + 1], grad)
+
     def test_memory_layout_does_not_matter(self):
         rng = np.random.default_rng(18)
         zs = rng.standard_normal((3, 4, 3, 5))
@@ -270,13 +289,26 @@ class TestOverflowingLogits:
         with pytest.raises(NoPath, match=f"arc occupancies of item {item} overflowed"):
             entry(z, [1, 2])
 
-    def test_overflow_off_every_path_is_finite(self):
-        z = self.Z[..., [0, 2, 1]]  # the overflowing entry is now a token no arc reads
-        loss, grad = rnnt_loss(z, [1])
-        assert np.isfinite(loss) and np.all(np.isfinite(grad))
-        losses, grads = batched_grid_loss(z[None], [[1]], "wst")
-        assert np.isfinite(losses[0]) and np.all(np.isfinite(grads))
+    def test_lost_path_count_is_no_path(self):
+        # the overflowing entry is a token no arc reads, but the token arc's
+        # log-probability is -1e308: the two paths' log-sum loses its ln 2,
+        # each path would get occupancy 1, and the position's sum would be 2
+        z = self.Z[..., [0, 2, 1]]
         assert log_softmax(z)[0, 0, 2] == NEG_INF
+        with pytest.raises(NoPath, match="item 0 do not sum to 1"):
+            rnnt_loss(z, [1])
+        with pytest.raises(NoPath, match="item 0 do not sum to 1"):
+            batched_grid_loss(z[None], [[1]], "wst")
+
+    @pytest.mark.parametrize("criterion", ["rnnt", "wst"])
+    @pytest.mark.parametrize("grad_wrt", ["logits", "logprobs"])
+    def test_huge_finite_logits_are_no_path(self, criterion, grad_wrt):
+        """At x1e15 the occupancies stay finite but wrong; unchecked, the gradient reaches 7.39."""
+        rng = np.random.default_rng(20)
+        z = rng.standard_normal((2, 4, 3, 5))
+        ys = rng.integers(1, 5, (2, 2))
+        with pytest.raises(NoPath, match="do not sum to 1 per frame and position"):
+            batched_grid_loss(z * 1e15, ys, criterion, None, grad_wrt)
 
 
 class TestWstWithoutPenalties:

@@ -214,6 +214,25 @@ class TestForward:
                 denom = max(abs(fd), abs(ana), 1e-6)
                 assert abs(fd - ana) / denom <= 1e-4
 
+    def test_pooled_buffers_match_fresh_allocation(self):
+        """The train-owned buffers over grow, shrink and grow again give the fresh arrays' bits."""
+        params = init_params(SMALL_TASK, 8, 5)
+        rng = np.random.default_rng(6)
+        pool = {}
+        for b_sz, t_len, u_len in ((2, 3, 2), (4, 6, 3), (1, 2, 1), (3, 4, 0), (5, 7, 4)):
+            xs = rng.standard_normal((b_sz, t_len, SMALL_TASK.feature_dim))
+            ys = rng.integers(1, SMALL_TASK.vocab_size, size=(b_sz, u_len))
+            logits, h, ctx = _forward_batch(params, xs, ys)
+            p_logits, p_h, p_ctx = _forward_batch(params, xs, ys, pool)
+            assert np.shares_memory(p_h, pool["h"])
+            assert np.array_equal(p_logits, logits) and np.array_equal(p_h, h)
+            _, dlogits = batched_grid_loss(logits, ys)
+            grads = _backward_batch(params, xs, ctx, h, dlogits)
+            p_grads = _backward_batch(params, xs, p_ctx, p_h, dlogits, pool)
+            for a, b in zip(grads.fields(), p_grads.fields()):
+                assert np.array_equal(a, b)
+        assert pool["h"].size == 5 * 7 * 5 * 8 and pool["dpre"].size == 5 * 7 * 5 * 8
+
 
 class TestTrain:
     def test_loss_curve_decreases(self):
@@ -255,7 +274,8 @@ class TestTrain:
     def test_diverging_run_is_divergence(self):
         with pytest.raises(Divergence) as exc:
             train(small_config(learning_rate=1e300))
-        assert (exc.value.epoch, exc.value.batch) == (0, 3)
+        # batch 1's occupancies break conservation; unchecked, they overflow at batch 3
+        assert (exc.value.epoch, exc.value.batch) == (0, 1)
         assert isinstance(exc.value.__cause__, NoPath)
 
     def test_no_path_is_divergence(self, monkeypatch):
@@ -346,6 +366,14 @@ class TestRunExperiment:
         assert len(r1["epochs"]) == cfg.epochs
         assert r1["eval_wer"] >= 0.0
         assert r1["realized_error_rate"] == 0.0  # default corruption rate 0
+
+    def test_larger_run_between_leaves_report_unchanged(self):
+        """Training keeps no state between calls: a larger task in between changes no byte."""
+        cfg = small_config(criterion="wst", corruption=CorruptionSpec("mixed", 0.5, 2))
+        first = json.dumps(run_experiment(cfg), sort_keys=True)
+        run_experiment(small_config(task=dataclasses.replace(SMALL_TASK, max_len=7, train_size=20),
+                                    batch_size=8, hidden=12))
+        assert json.dumps(run_experiment(cfg), sort_keys=True) == first
 
     def test_realized_rate_reported(self):
         cfg = small_config(corruption=CorruptionSpec("del", 0.5, 1))
