@@ -5,13 +5,14 @@ stdout (or --output) as JSON / JSONL; diagnostics go to stderr. Exit codes:
 0 success, 1 domain error, 2 usage error.
 
 Tensor files are JSON: {"T": t, "U": u, "V": v, "kind": "logits"|"logprobs",
-"data": [row-major T*(U+1)*V doubles]}. Token lists are comma-separated
-integers; the empty string is the empty transcript. --lambda1/--lambda2
-accept the literal -inf (use the --flag=value form).
+"data": [row-major T*(U+1)*V finite doubles]}. Token lists are
+comma-separated integers; the empty string is the empty transcript.
+--lambda1/--lambda2 accept the literal -inf (use the --flag=value form).
 """
 
 import argparse
 import dataclasses
+import itertools
 import json
 import math
 import sys
@@ -50,6 +51,8 @@ def _load_tensor(path: str):
         raise WstError(f"tensor file {path}: T, U and V must be >= 0, got {t}, {u}, {v}")
     if data.size != t * (u + 1) * v:
         raise WstError(f"tensor file {path}: data has {data.size} values, expected {t * (u + 1) * v}")
+    if not np.isfinite(data).all():
+        raise WstError(f"tensor file {path}: data must be finite")
     kind = obj.get("kind", "logits")
     if kind not in ("logits", "logprobs"):
         raise WstError(f"tensor file {path}: kind must be 'logits' or 'logprobs'")
@@ -62,10 +65,6 @@ def _emit(args, text: str) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _symbols(vocab: Vocab):
-    return {wfst.EPSILON: "eps", vocab.blank_id: "blk", vocab.star_id: "star"}
 
 
 def cmd_graph(args) -> int:
@@ -88,7 +87,7 @@ def cmd_graph(args) -> int:
     else:
         g = graphs._chain(vocab, tokens, penalties)
     if args.out == "dot":
-        _emit(args, wfst.export_dot(g, _symbols(vocab)))
+        _emit(args, wfst.export_dot(g, {vocab.star_id: "star"}))
     else:
         _emit(args, wfst.export_json(g) + "\n")
     return 0
@@ -171,13 +170,6 @@ DEFAULT_RATES = (0.0, 0.1, 0.3, 0.5, 0.7)
 DEFAULT_KINDS = ("sub", "ins", "del", "mixed")
 
 
-def sweep_cells(rates=DEFAULT_RATES, kinds=DEFAULT_KINDS, criteria=("rnnt", "wst")):
-    for kind in kinds:
-        for rate in rates:
-            for criterion in criteria:
-                yield criterion, kind, rate
-
-
 def cmd_sweep(args) -> int:
     base = toytrain.ExperimentConfig()
     if args.config:
@@ -194,7 +186,7 @@ def cmd_sweep(args) -> int:
     rates = [float(r) for r in args.rates.split(",")] if args.rates else list(DEFAULT_RATES)
     kinds = args.kinds.split(",") if args.kinds else list(DEFAULT_KINDS)
     with open(args.output, mode) as fh:
-        for criterion, kind, rate in sweep_cells(rates, kinds):
+        for kind, rate, criterion in itertools.product(kinds, rates, ("rnnt", "wst")):
             if (criterion, kind, rate) in done:
                 continue
             config = dataclasses.replace(

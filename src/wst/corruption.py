@@ -104,33 +104,20 @@ def edit_counts(ref: Sequence[int], hyp: Sequence[int]) -> Tuple[int, int, int]:
     # Each path scores w * cost - substitutions. w exceeds any substitution
     # count, so the least score has the least cost, then the most substitutions.
     w = n + m + 1
-    dist = [[0] * (m + 1) for _ in range(n + 1)]
-    for i in range(1, n + 1):
-        dist[i][0] = i * w
-    for j in range(1, m + 1):
-        dist[0][j] = j * w
+    row = list(range(0, (m + 1) * w, w))
     for i in range(1, n + 1):
         ri = ref[i - 1]
+        diag, row[0] = row[0], i * w
         for j in range(1, m + 1):
-            sub = dist[i - 1][j - 1] + (0 if ri == hyp[j - 1] else w - 1)
-            dist[i][j] = min(sub, dist[i][j - 1] + w, dist[i - 1][j] + w)
-    # Trace back in the order the minimum above prefers: substitution or
-    # match, then insertion, then deletion.
-    subs = ins = dels = 0
-    i, j = n, m
-    while i > 0 or j > 0:
-        match = i > 0 and j > 0 and ref[i - 1] == hyp[j - 1]
-        if i > 0 and j > 0 and dist[i][j] == dist[i - 1][j - 1] + (0 if match else w - 1):
-            subs += not match
-            i -= 1
-            j -= 1
-        elif j > 0 and dist[i][j] == dist[i][j - 1] + w:
-            ins += 1
-            j -= 1
-        else:
-            dels += 1
-            i -= 1
-    return subs, ins, dels
+            up = row[j]
+            row[j] = min(diag + (0 if ri == hyp[j - 1] else w - 1), row[j - 1] + w, up + w)
+            diag = up
+    # score = w * cost - subs with 0 <= subs < w; then n = matches + subs + dels
+    # and m = matches + subs + ins give ins - dels = m - n.
+    cost = -(-row[m] // w)
+    subs = w * cost - row[m]
+    ins = (cost - subs + m - n) // 2
+    return subs, ins, cost - subs - ins
 
 
 def wer(ref: Sequence[int], hyp: Sequence[int]) -> Tuple[float, int, int, int]:

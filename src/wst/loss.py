@@ -39,8 +39,8 @@ blank and the row's target, so the kernel returns it as two planes,
 softmax * (d_blank + d_tok) minus the two planes in their own columns; no
 dense sensitivity tensor is built. Target entries are read and written
 through one flat index into the C-contiguous log-probabilities. The raw
-log-probability-level gradient (plain occupancy accumulation) is available via
-``grad_wrt="logprobs"``.
+log-probability gradient, ``grad_wrt="logprobs"``, is the same subtraction of
+the two planes from a -0.0 fill in place of the softmax term.
 
 The dense [B, T, U+1, V] passes, log-softmax and the logit gradient, take one
 cache-sized block of whole rows through all their steps at a time, so each
@@ -227,29 +227,26 @@ def _grid_loss_grad(
     return total, d_blank, gamma_tok, flat
 
 
-def _logit_grad(lp: np.ndarray, d_blank: np.ndarray, d_tok: np.ndarray, flat: np.ndarray) -> np.ndarray:
-    """-d(log total)/d(logits) from the two sensitivity planes, written over ``lp``.
+def _write_grad(lp: np.ndarray, d_blank: np.ndarray, d_tok: np.ndarray, flat: np.ndarray,
+                wrt_logits: bool) -> np.ndarray:
+    """-d(log total)/d(logits), or /d(lp) if not ``wrt_logits``, written over ``lp``.
 
-    Equals -(dlp - softmax * dlp.sum(-1)) for the dense sensitivity dlp: a row
-    has only the blank and target nonzeros, so its sum is d_blank + d_tok
-    exactly, and -(a - b) == b - a in IEEE arithmetic (up to the sign of 0).
+    A row of the dense sensitivity dlp has only the blank and target nonzeros,
+    so -(dlp - softmax * dlp.sum(-1)) is softmax * (d_blank + d_tok) minus the
+    two planes in their columns (-(a - b) == b - a, up to the sign of 0). The
+    log-probability gradient starts from -0.0, and -0.0 - x == -x, so it is
+    -0.0 off every arc. Target entries are distinct and never in column 0.
     """
-    u_len = d_tok.shape[2]
-    s = d_blank.copy()
-    s[:, :, :u_len] += d_tok
-    for g, s_rows in _row_blocks(lp, s[..., None]):
-        np.exp(g, out=g)
-        g *= s_rows
+    if wrt_logits:
+        s = d_blank.copy()
+        s[:, :, :d_tok.shape[2]] += d_tok
+        for g, s_rows in _row_blocks(lp, s[..., None]):
+            np.exp(g, out=g)
+            g *= s_rows
+    else:
+        lp.fill(-0.0)
     lp[..., 0] -= d_blank
     lp.reshape(-1)[flat] -= d_tok
-    return lp
-
-
-def _logprob_grad(lp: np.ndarray, d_blank: np.ndarray, d_tok: np.ndarray, flat: np.ndarray) -> np.ndarray:
-    """-d(log total)/d(lp), written over ``lp``: the negated dense arc occupancies, -0.0 off every arc."""
-    lp.fill(-0.0)
-    lp[..., 0] = -d_blank
-    lp.reshape(-1)[flat] = -d_tok
     return lp
 
 
@@ -329,6 +326,5 @@ def batched_grid_loss(
     bad = ~(np.isfinite(d_blank).all(axis=(1, 2)) & np.isfinite(d_tok).all(axis=(1, 2)))
     if bad.any():  # exp overflowed in the occupancy step of huge logits
         raise NoPath(f"arc occupancies of item {int(np.argmax(bad))} overflowed")
-    grad_fn = _logit_grad if grad_wrt == "logits" else _logprob_grad
-    return -total, grad_fn(lp, d_blank, d_tok, flat)
+    return -total, _write_grad(lp, d_blank, d_tok, flat, grad_wrt == "logits")
 

@@ -2,9 +2,14 @@ import json
 import math
 import warnings
 
+import numpy as np
 import pytest
 
 from wst.cli import main
+from wst.graphs import LN_HALF, PenaltyConfig, build_rnnt_lattice
+from wst.loss import batched_grid_loss
+from wst.vocab import Vocab
+from wst.wfst import EPSILON, export_json
 
 
 def run(capsys, *argv):
@@ -111,7 +116,10 @@ class TestLoss:
         {"T": 1, "U": 0, "V": 2, "data": {"a": 1}},
         {"U": 0, "V": 2, "data": [0.0, 0.0]},
         {"T": -1, "U": 0, "V": -1, "data": [0.5]},
-    ], ids=["list", "null T", "infinite T", "object data", "no T", "negative T and V"])
+        {"T": 2, "U": 0, "V": 2, "kind": "logprobs", "data": [0, -math.inf, 0, -math.inf]},
+        {"T": 2, "U": 0, "V": 2, "kind": "logits", "data": [0, -math.inf, 0, -math.inf]},
+    ], ids=["list", "null T", "infinite T", "object data", "no T", "negative T and V",
+            "non-finite logprobs", "non-finite logits"])
     def test_malformed_tensor_file(self, capsys, tmp_path, content):
         path = tmp_path / "t.json"
         path.write_text(json.dumps(content))
@@ -119,6 +127,40 @@ class TestLoss:
             code, _, err = run(capsys, *argv, "--tensor", str(path), "--tokens", "")
             assert code == 1
             assert f"tensor file {path}" in err
+
+
+class TestLogprobTensorFile:
+    """A "kind": "logprobs" file is read as log-probabilities by both commands."""
+
+    DATA = [-0.1 * (k + 1) for k in range(18)]  # T=2, U=2, V=3; rows not normalised
+
+    @pytest.mark.parametrize("criterion", ["rnnt", "wst"])
+    def test_loss_grad_matches_library(self, capsys, tmp_path, criterion):
+        path = tmp_path / "t.json"
+        write_tensor(path, 2, 2, 3, self.DATA, kind="logprobs")
+        code, out, _ = run(capsys, "loss", "--criterion", criterion,
+                           "--tensor", str(path), "--tokens", "1,2", "--grad")
+        assert code == 0
+        tensor = np.array(self.DATA).reshape(2, 3, 3)
+        penalties = PenaltyConfig(LN_HALF, LN_HALF) if criterion == "wst" else None
+        losses, grads = batched_grid_loss(tensor[None], [[1, 2]], criterion, penalties, "logprobs")
+        rep = json.loads(out)
+        assert rep["loss"] == float(losses[0])
+        assert np.array_equal(np.array(rep["grad"]), grads[0].reshape(-1))
+
+    def test_graph_weights_are_the_file_values(self, capsys, tmp_path):
+        path = tmp_path / "t.json"
+        write_tensor(path, 2, 2, 3, self.DATA, kind="logprobs")
+        code, out, _ = run(capsys, "graph", "--type", "rnnt", "--tensor", str(path),
+                           "--tokens", "1,2", "--vocab-size", "3")
+        assert code == 0
+        arcs = [arc for arc in json.loads(out)["arcs"] if arc["label"] != EPSILON]
+        assert len(arcs) == 8
+        for arc in arcs:  # the file's value at (frame, position, label), not re-normalised
+            assert arc["weight"] == self.DATA[(arc["frame"] * 3 + arc["position"]) * 3 + arc["label"]]
+        tensor = np.array(self.DATA).reshape(2, 3, 3)
+        expected = build_rnnt_lattice(Vocab(3), [1, 2], tensor)
+        assert out == export_json(expected) + "\n"
 
 
 class TestPenaltyWarnings:

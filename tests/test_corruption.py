@@ -101,6 +101,21 @@ class TestCorruptDataset:
         assert corrupt_dataset(V, [], CorruptionSpec("sub", 0.5, 0)) == []
 
 
+def all_alignments(ref, hyp):
+    """(subs, ins, dels) of every alignment of ``ref`` with ``hyp``; an equal pair is a match."""
+    if not ref and not hyp:
+        yield 0, 0, 0
+    if ref and hyp:
+        for s, i, d in all_alignments(ref[1:], hyp[1:]):
+            yield s + (ref[0] != hyp[0]), i, d
+    if hyp:
+        for s, i, d in all_alignments(ref, hyp[1:]):
+            yield s, i + 1, d
+    if ref:
+        for s, i, d in all_alignments(ref[1:], hyp):
+            yield s, i, d + 1
+
+
 class TestEditCounts:
     def test_equal(self):
         assert edit_counts([1, 2, 3], [1, 2, 3]) == (0, 0, 0)
@@ -127,6 +142,14 @@ class TestEditCounts:
     def test_tie_prefers_most_substitutions(self):
         # two minimal alignments of cost 4: (0, 1, 3) and (2, 0, 2)
         assert edit_counts([1, 1, 1, 2, 2, 1], [2, 2, 1, 2]) == (2, 0, 2)
+
+    @given(st.lists(st.integers(1, 3), max_size=5), st.lists(st.integers(1, 3), max_size=5))
+    @settings(max_examples=300)
+    @example([1, 2], [2, 3])  # (2, 0, 0) and (0, 1, 1) both cost 2
+    def test_matches_every_alignment(self, a, b):
+        """The least-cost alignment with the most substitutions, found by enumerating all of them."""
+        best = min(all_alignments(a, b), key=lambda c: (sum(c), -c[0]))
+        assert edit_counts(a, b) == best
 
     @given(st.lists(st.integers(1, 5), max_size=8), st.lists(st.integers(1, 5), max_size=8))
     @settings(max_examples=200)

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from wst import loss as loss_module
 from wst.exceptions import BlankInTranscript, NoPath, OutOfVocabulary, ShapeMismatch
 from wst.graphs import LN_HALF, PenaltyConfig, build_rnnt_lattice, build_wst_lattice, penalties_for
-from wst.loss import (_BLOCK_BYTES, _grid_loss_grad, _logprob_grad, batched_grid_loss, log_softmax,
+from wst.loss import (_BLOCK_BYTES, _grid_loss_grad, _write_grad, batched_grid_loss, log_softmax,
                       rnnt_loss, wst_loss)
 from wst.numerics import NEG_INF, star_log_prob
 from wst.numerics import star_log_prob as _star_rows  # the name reference_grid_loss uses
@@ -515,7 +515,7 @@ class TestBlockedDensePasses:
         dlp = np.zeros_like(lp)
         dlp[..., 0] = d_blank
         dlp.reshape(-1)[flat] = d_tok
-        got = _logprob_grad(lp.copy(), d_blank, d_tok, flat)
+        got = _write_grad(lp.copy(), d_blank, d_tok, flat, False)
         assert np.array_equal(got, -dlp)
         assert np.array_equal(np.signbit(got), np.signbit(-dlp))
 
