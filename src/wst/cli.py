@@ -5,8 +5,9 @@ stdout (or --output) as JSON / JSONL; diagnostics go to stderr. Exit codes:
 0 success, 1 domain error, 2 usage error.
 
 Tensor files are JSON: {"T": t, "U": u, "V": v, "kind": "logits"|"logprobs",
-"data": [row-major T*(U+1)*V finite doubles]}. Token lists are
-comma-separated integers; the empty string is the empty transcript.
+"data": [row-major T*(U+1)*V finite doubles]}; each row of a logprobs file
+must log-sum to 0 within 1e-6. Token lists are comma-separated integers;
+the empty string is the empty transcript.
 --lambda1/--lambda2 accept the literal -inf (use the --flag=value form).
 """
 
@@ -56,6 +57,8 @@ def _load_tensor(path: str):
     kind = obj.get("kind", "logits")
     if kind not in ("logits", "logprobs"):
         raise WstError(f"tensor file {path}: kind must be 'logits' or 'logprobs'")
+    if kind == "logprobs" and v and not (abs(np.logaddexp.reduce(data.reshape(-1, v), -1)) <= 1e-6).all():
+        raise WstError(f"tensor file {path}: logprobs rows must log-sum to 0 within 1e-6")
     return data.reshape(t, u + 1, v), kind
 
 

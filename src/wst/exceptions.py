@@ -37,7 +37,7 @@ class CyclicGraph(WstError):
 
 
 class NoPath(WstError):
-    """The automaton admits no accepting path (total weight is -inf)."""
+    """No accepting path has a usable weight: none at all, or the loss kernel's occupancies break conservation."""
 
 
 class ShapeMismatch(WstError, ValueError):
@@ -53,9 +53,9 @@ class EmptyReference(WstError, ValueError):
 
 
 class Divergence(WstError):
-    """Training encountered a non-finite loss."""
+    """Training stopped because the loss raised NoPath on a batch's logits."""
 
     def __init__(self, epoch: int, batch: int):
         self.epoch = epoch
         self.batch = batch
-        super().__init__(f"non-finite loss at epoch {epoch}, batch {batch}")
+        super().__init__(f"the loss raised NoPath at epoch {epoch}, batch {batch}")

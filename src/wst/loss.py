@@ -26,8 +26,8 @@ Every cell sees the same operands as a cell-by-cell loop (``logaddexp(-inf,
 x) == x``, ``x + 0.0 == x``, and IEEE ``+`` and ``logaddexp`` commute), and
 the recurrence is elementwise over the batch axis, so the result is
 bit-identical to one. Every path crosses each frame and each transcript
-position once, so an item's occupancies must sum to 1 over each; logits so
-large that the path weights lose that raise NoPath, not a wrong gradient.
+position once, so an item's occupancies sum to 1 over each. That residual is
+the one failure test: no path, a lost path count and an overflow raise NoPath.
 
 Gradients are with respect to the logits by default: arc occupancies are
 routed through the log-softmax Jacobian, and bypass arcs additionally apply
@@ -140,22 +140,22 @@ def _occupancy(alpha_src: np.ndarray, arc: np.ndarray, beta_dst: np.ndarray, tot
 
 
 def _check_conservation(gamma_vert: np.ndarray, gamma_horiz: np.ndarray) -> None:
-    """Raise NoPath for an item whose twin occupancies break conservation.
+    """Raise NoPath for an item whose twin occupancies break conservation: the kernel's one failure test.
 
     Every path crosses each frame once and each transcript position once, so
     gamma_horiz sums to 1 over u in every frame and gamma_vert to 1 over t at
-    every position. Logits so large that the path weights' log-sum loses
-    their count break that while staying finite; the residual is about 1e-14
-    on ordinary input. A non-finite residual is an overflow, which the caller
-    reports.
+    every position; the residual is about 1e-14 on ordinary input. It is
+    exactly 1 for an item with no path, whose occupancies are all 0; large but
+    finite where the path weights' log-sum loses their count; inf or NaN where
+    exp overflowed. An item that passes has finite gradient planes.
     """
     residual = np.maximum(np.abs(gamma_horiz.sum(axis=2) - 1.0).max(axis=1),
                           np.abs(gamma_vert.sum(axis=1) - 1.0).max(axis=1, initial=0.0))
-    bad = np.isfinite(residual) & (residual > _CONSERVATION_TOL)
+    bad = ~(residual <= _CONSERVATION_TOL)  # a NaN residual fails too
     if bad.any():
         item = int(np.argmax(bad))
-        raise NoPath(f"arc occupancies of item {item} do not sum to 1 per frame and position "
-                     f"(residual {residual[item]:.3g})")
+        fault = "do not sum to 1 per frame and position" if np.isfinite(residual[item]) else "overflowed"
+        raise NoPath(f"arc occupancies of item {item} {fault} (residual {residual[item]:.3g})")
 
 
 def _plain_share(gamma: np.ndarray, plain: np.ndarray, arc: np.ndarray) -> np.ndarray:
@@ -205,9 +205,6 @@ def _grid_loss_grad(
                     np.concatenate([horiz, horiz[:, ::-1, ::-1]]))  # [2B, T+1, U+1]
     alpha, beta = scores[:b_sz], scores[b_sz:, ::-1, ::-1]
     total = alpha[:, t_len, u_len]
-    if (total == NEG_INF).any():  # only after log_softmax overflowed; occupancy divides by the total
-        raise NoPath(f"lattice of item {int(np.argmax(total == NEG_INF))} admits no accepting path")
-    # Huge logits can overflow exp here; the caller rejects a non-finite result.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         gamma_vert = _occupancy(alpha[:, :t_len, :u_len], vert, beta[:, :t_len, 1:], total)
         gamma_horiz = _occupancy(alpha[:, :t_len], horiz, beta[:, 1:], total)
@@ -219,10 +216,9 @@ def _grid_loss_grad(
         gamma_blank = _plain_share(gamma_horiz, blank, horiz)
         gamma_star = gamma_horiz - gamma_blank
         gamma_star[:, :, :u_len] += gamma_vert - gamma_tok
-        # d(star)/d(logp_blank) = -p_blank / (1 - p_blank); zero occupancy rows
-        # contribute nothing even where the factor would blow up.
-        p_blank = np.exp(blank)
-        factor = p_blank / np.expm1(blank)  # = -p/(1-p)
+        # d(star)/d(logp_blank) = -p/(1-p) is finite unless blank == 0; there star is
+        # -inf, so gamma_star is exactly 0 and the mask drops the infinite factor.
+        factor = np.exp(blank) / np.expm1(blank)
         d_blank = gamma_blank + np.where(gamma_star > 0.0, gamma_star * factor, 0.0)
     return total, d_blank, gamma_tok, flat
 
@@ -307,9 +303,9 @@ def batched_grid_loss(
     the corresponding single calls (the recurrence is elementwise over the
     batch axis). Input that breaks the grid contract, ``graphs._check_grid``,
     raises its ShapeMismatch or VocabError, and non-finite logits raise
-    ShapeMismatch. Finite logits so large that log-softmax leaves an
-    item no path, that its arc occupancies overflow, or that they no longer
-    sum to 1 over each frame and each position, raise NoPath.
+    ShapeMismatch. An item whose arc occupancies do not sum to 1 over each
+    frame and each position raises NoPath: no path, a lost path count or an
+    overflow. Otherwise the loss and gradient are finite.
     ``penalties`` are ignored for ``"rnnt"``; for ``"wst"``, None means
     ``PenaltyConfig()``.
     """
@@ -323,8 +319,5 @@ def batched_grid_loss(
     _finite_logits(z)
     lp = log_softmax(z)
     total, d_blank, d_tok, flat = _grid_loss_grad(lp, ys, pen)
-    bad = ~(np.isfinite(d_blank).all(axis=(1, 2)) & np.isfinite(d_tok).all(axis=(1, 2)))
-    if bad.any():  # exp overflowed in the occupancy step of huge logits
-        raise NoPath(f"arc occupancies of item {int(np.argmax(bad))} overflowed")
     return -total, _write_grad(lp, d_blank, d_tok, flat, grad_wrt == "logits")
 

@@ -44,7 +44,6 @@ def log1mexp(b):
     c = np.minimum(b, 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.where(c > LN_HALF, np.log(-np.expm1(c)), np.log1p(-np.exp(c)))
-    out = np.where(c >= 0.0, NEG_INF, out)
     return float(out) if out.ndim == 0 else out
 
 

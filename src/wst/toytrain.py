@@ -224,8 +224,8 @@ def train(config: ExperimentConfig) -> Tuple[ToyModelParams, List[float]]:
     """Mini-batch gradient descent on (possibly corrupted) training transcripts.
 
     Returns the trained parameters and the per-epoch mean training loss.
-    Deterministic given the seeds in the config; raises Divergence on a
-    non-finite loss.
+    Deterministic given the seeds in the config; raises Divergence where the
+    loss raised NoPath.
     """
     task = config.task
     vocab = Vocab(task.vocab_size)

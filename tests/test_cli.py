@@ -7,9 +7,9 @@ import pytest
 
 from wst.cli import main
 from wst.graphs import LN_HALF, PenaltyConfig, build_rnnt_lattice
-from wst.loss import batched_grid_loss
+from wst.loss import batched_grid_loss, log_softmax
 from wst.vocab import Vocab
-from wst.wfst import EPSILON, export_json
+from wst.wfst import EPSILON, export_json, total_weight, wfst_from_json
 
 
 def run(capsys, *argv):
@@ -118,8 +118,9 @@ class TestLoss:
         {"T": -1, "U": 0, "V": -1, "data": [0.5]},
         {"T": 2, "U": 0, "V": 2, "kind": "logprobs", "data": [0, -math.inf, 0, -math.inf]},
         {"T": 2, "U": 0, "V": 2, "kind": "logits", "data": [0, -math.inf, 0, -math.inf]},
+        {"T": 2, "U": 0, "V": 2, "kind": "logprobs", "data": [-0.1, -0.2, -0.3, -0.4]},
     ], ids=["list", "null T", "infinite T", "object data", "no T", "negative T and V",
-            "non-finite logprobs", "non-finite logits"])
+            "non-finite logprobs", "non-finite logits", "unnormalised logprobs"])
     def test_malformed_tensor_file(self, capsys, tmp_path, content):
         path = tmp_path / "t.json"
         path.write_text(json.dumps(content))
@@ -132,7 +133,7 @@ class TestLoss:
 class TestLogprobTensorFile:
     """A "kind": "logprobs" file is read as log-probabilities by both commands."""
 
-    DATA = [-0.1 * (k + 1) for k in range(18)]  # T=2, U=2, V=3; rows not normalised
+    DATA = log_softmax(-0.1 * np.arange(1, 19).reshape(6, 3)).reshape(-1).tolist()  # T=2, U=2, V=3
 
     @pytest.mark.parametrize("criterion", ["rnnt", "wst"])
     def test_loss_grad_matches_library(self, capsys, tmp_path, criterion):
@@ -161,6 +162,16 @@ class TestLogprobTensorFile:
         tensor = np.array(self.DATA).reshape(2, 3, 3)
         expected = build_rnnt_lattice(Vocab(3), [1, 2], tensor)
         assert out == export_json(expected) + "\n"
+
+    @pytest.mark.parametrize("criterion", ["rnnt", "wst"])
+    def test_loss_is_minus_the_graph_total_weight(self, capsys, tmp_path, criterion):
+        path = tmp_path / "t.json"
+        write_tensor(path, 2, 2, 3, self.DATA, kind="logprobs")
+        code_l, out_l, _ = run(capsys, "loss", "--criterion", criterion, "--tensor", str(path), "--tokens", "1,2")
+        code_g, out_g, _ = run(capsys, "graph", "--type", criterion, "--tensor", str(path),
+                               "--tokens", "1,2", "--vocab-size", "3")
+        assert code_l == code_g == 0
+        assert abs(json.loads(out_l)["loss"] + total_weight(wfst_from_json(out_g))) <= 1e-12
 
 
 class TestPenaltyWarnings:

@@ -11,6 +11,8 @@ deterministic and its added time bounded.
 
 import json
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -19,9 +21,9 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from wst import cli
 from wst.corruption import CorruptionSpec, corrupt, score_corpus, wer
-from wst.exceptions import WstError
-from wst.graphs import (build_rnnt_lattice, build_transcript_graph, build_ws_transcript_graph,
-                        build_wst_lattice)
+from wst.exceptions import NoPath, WstError
+from wst.graphs import (LN_HALF, PenaltyConfig, build_rnnt_lattice, build_transcript_graph,
+                        build_ws_transcript_graph, build_wst_lattice)
 from wst.loss import batched_grid_loss, log_softmax, rnnt_loss, wst_loss
 from wst.oracle import brute_force_loss
 from wst.toytrain import config_from_dict
@@ -170,3 +172,35 @@ def test_kernel_oracle_and_builder_agree(data, toks, t_len, v_size):
                          ids=["no frame and a blank", "row count and out of vocabulary", "bool among ints"])
 def test_multi_fault_inputs_fail_alike(shape, toks):
     _assert_agree(np.zeros(shape), toks)
+
+
+LAMBDAS = st.sampled_from([-math.inf, -30.0, LN_HALF, 0.0, 30.0, 700.0, 1e300])
+
+
+@settings(CONTRACT, max_examples=400)
+@given(seed=st.integers(0, 2**32 - 1),
+       shape=st.tuples(st.integers(1, 3), st.integers(1, 4), st.integers(0, 3), st.integers(2, 6)),
+       scale=st.one_of(st.floats(-1, 16), st.floats(16, 300)), boost=st.one_of(st.just(0.0), st.floats(30, 745)),
+       lambdas=st.tuples(LAMBDAS, LAMBDAS), criterion=st.sampled_from(["rnnt", "wst"]),
+       grad_wrt=st.sampled_from(["logits", "logprobs"]))
+def test_kernel_is_finite_or_no_path(seed, shape, scale, boost, lambdas, criterion, grad_wrt):
+    """The conservation residual is the kernel's one failure test: past it, the loss and gradient are finite.
+
+    Logits x1e10 to x1e16 lose the path count, larger ones overflow exp, and a
+    boosted blank column drives p_blank to 1, where the star factor -p/(1-p) is
+    huge or infinite.
+    """
+    b_sz, t_len, u_len, v_size = shape
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((b_sz, t_len, u_len + 1, v_size)) * 10.0 ** scale
+    z[..., 0] += boost
+    ys = rng.integers(1, v_size, (b_sz, u_len))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # positive penalties warn
+        penalties = PenaltyConfig(*lambdas)
+    try:
+        losses, grad = batched_grid_loss(z, ys, criterion, penalties, grad_wrt)
+    except NoPath as exc:
+        assert int(re.search(r"item (\d+)", str(exc)).group(1)) < b_sz
+        return
+    assert np.isfinite(losses).all() and np.isfinite(grad).all()
