@@ -72,23 +72,21 @@ def _emit(args, text: str) -> None:
 
 def cmd_graph(args) -> int:
     tokens = _parse_tokens(args.tokens)
-    vocab_size = args.vocab_size or max(tokens, default=1) + 1
-    vocab = Vocab(vocab_size)
+    lattice = args.type in ("rnnt", "wst")
+    lp = None
+    if lattice and args.tensor:
+        tensor, kind = _load_tensor(args.tensor)
+        lp = loss.log_softmax(tensor) if kind == "logits" else tensor
+    elif lattice and (args.frames is None or args.frames < 1):
+        raise WstError(f"--frames must be >= 1 for lattice graphs without --tensor, got {args.frames}")
+    default_size = max(tokens, default=1) + 1 if lp is None else lp.shape[-1]
+    vocab = Vocab(default_size if args.vocab_size is None else args.vocab_size)
     # penalties are the one switch between each plain graph and its weakly supervised form
     penalties = (graphs.PenaltyConfig(args.lambda1, args.lambda2)
                  if args.type in ("wst", "ws-transcript") else None)
-    if args.type in ("rnnt", "wst"):
-        if args.tensor:
-            tensor, kind = _load_tensor(args.tensor)
-            lp = loss.log_softmax(tensor) if kind == "logits" else tensor
-        else:
-            t_len = args.frames
-            if t_len is None:
-                raise WstError("--frames is required for lattice graphs without --tensor")
-            lp = np.full((t_len, len(tokens) + 1, vocab_size), -math.log(vocab_size))
-        g = graphs._grid_lattice(vocab, tokens, lp, penalties)
-    else:
-        g = graphs._chain(vocab, tokens, penalties)
+    if lattice and lp is None:
+        lp = np.full((args.frames, len(tokens) + 1, vocab.size), -math.log(vocab.size))
+    g = graphs._grid_lattice(vocab, tokens, lp, penalties) if lattice else graphs._chain(vocab, tokens, penalties)
     if args.out == "dot":
         _emit(args, wfst.export_dot(g, {vocab.star_id: "star"}))
     else:
@@ -123,7 +121,7 @@ def _read_jsonl(path: str):
 def _read_token_rows(path: str):
     """The rows of a JSONL file of {"id": string or integer, "tokens": [integers]} objects."""
     rows = _read_jsonl(path)
-    if not all(isinstance(r, dict) and isinstance(r.get("id"), (str, int)) and isinstance(r.get("tokens"), list)
+    if not all(isinstance(r, dict) and type(r.get("id")) in (str, int) and isinstance(r.get("tokens"), list)
                and all(type(tok) is int for tok in r["tokens"]) for r in rows):
         raise WstError(f'{path}: every row must be {{"id": string or integer, "tokens": [integers]}}')
     return rows
@@ -141,9 +139,17 @@ def cmd_corrupt(args) -> int:
     return 0
 
 
+def _tokens_by_id(path: str):
+    """The token lists of a row file keyed by id; a WstError names the file if an id repeats."""
+    rows = _read_token_rows(path)
+    by_id = {r["id"]: r["tokens"] for r in rows}
+    if len(by_id) < len(rows):
+        raise WstError(f"{path}: every id must be unique")
+    return by_id
+
+
 def cmd_score(args) -> int:
-    refs = {r["id"]: r["tokens"] for r in _read_token_rows(args.ref)}
-    hyps = {r["id"]: r["tokens"] for r in _read_token_rows(args.hyp)}
+    refs, hyps = _tokens_by_id(args.ref), _tokens_by_id(args.hyp)
     missing = sorted(set(refs) - set(hyps))
     if missing:
         raise WstError(f"hypotheses missing for ids: {missing[:5]}")
@@ -220,7 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tokens", required=True, help="comma-separated token ids; '' for empty")
     p.add_argument("--frames", type=int, help="frame count T (lattices without --tensor)")
     p.add_argument("--tensor", help="JSON tensor file to read weights from")
-    p.add_argument("--vocab-size", type=int, help="|V| including blank (default: max token + 1)")
+    p.add_argument("--vocab-size", type=int,
+                   help="|V| including blank (default: the tensor's V, else max token + 1)")
     p.add_argument("--lambda1", type=_parse_lambda, default=graphs.LN_HALF)
     p.add_argument("--lambda2", type=_parse_lambda, default=graphs.LN_HALF)
     p.add_argument("--out", choices=["dot", "json"], default="json")

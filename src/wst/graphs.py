@@ -6,25 +6,24 @@ Four constructions:
 * compact weakly supervised transcript graph (the chain plus star self-loops
   and star bypass arcs; cyclic, export-only),
 * standard transducer training lattice over a T x (U+1) grid,
-* weakly supervised lattice: the same grid with a token-bypass twin for every
-  token arc and a blank-bypass twin for every non-terminating blank arc.
+* weakly supervised lattice: the same grid with the star arcs unrolled too.
 
-The lattices come from one grid builder and the transcript graphs from one
-chain builder: each plain form is the weakly supervised one without star arcs,
-and ``penalties is None`` is the switch (``penalties_for`` maps a criterion).
+All four come from one chain builder: a lattice is its transcript graph
+unrolled over the frames, and a plain form is the weakly supervised one without
+star arcs, switched by ``penalties is None`` (``penalties_for`` maps a criterion).
 ``_check_grid`` is the one input contract of a score grid and its transcript,
 checked once by the grid builder, the loss kernel and the oracle alike.
 
 Grid state (t, u) has id t*(U+1)+u; the pre-final state is T*(U+1) and the
 final state T*(U+1)+1. The terminating blank arc from (T-1, U) is mandatory
-and deliberately has no bypass twin, which keeps the weakly supervised path
-set a strict superset of the standard one and preserves the lambda = -inf
-reduction.
+and deliberately has no bypass twin (no self-loop is unrolled out of the last
+frame), which keeps the weakly supervised path set a strict superset of the
+standard one and preserves the lambda = -inf reduction.
 """
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -153,16 +152,16 @@ def build_wst_lattice(vocab: Vocab, tokens: Sequence[int], logp,
 
 def _grid_lattice(vocab: Vocab, tokens: Sequence[int], logp,
                   penalties: Optional[PenaltyConfig]) -> Wfst:
-    """Training lattice over the T x (U+1) grid, with bypass twins iff penalties are given.
+    """Training lattice: the transcript chain ``_chain(vocab, tokens, penalties)`` unrolled over frames.
 
-    Token arcs (t,u)->(t,u+1) emit the next transcript token without advancing
-    time; blank arcs (t,u)->(t+1,u) consume a frame. A mandatory final blank
-    leads from (T-1, U) to the pre-final state, followed by a zero-weight
-    epsilon arc into the final state. With penalties, each token arc gets a
-    parallel token-bypass arc (star weight + lambda1) and each non-terminating
-    blank arc a parallel blank-bypass arc (star weight + lambda2). The star
-    weight at (t, u) is the log of the average non-blank probability of that
-    row. The terminating blank has no twin.
+    Grid state (t, u) is chain state u at frame t. A chain arc u -> u+1 (a token
+    or its bypass) becomes (t, u) -> (t, u+1) in every frame; the plain blank and
+    each self-loop of u (the blank bypass) become (t, u) -> (t+1, u) for t < T-1.
+    The plain blank of (T-1, U) is the mandatory final blank into the pre-final
+    state; the chain's final arc becomes the epsilon arc into the final state.
+    An arc's weight is its chain weight plus the log-probability of its label
+    in row (t, u); the plain blank's chain weight is 0. The star is one extra
+    column, ``star_log_prob`` of the blank column, at index |V|.
     """
     lp = item_tensor(logp)
     if lp.shape[-1] != vocab.size:
@@ -171,35 +170,24 @@ def _grid_lattice(vocab: Vocab, tokens: Sequence[int], logp,
     if not (lp < np.inf).all():  # -inf is a zero probability; NaN fails the comparison
         raise ShapeMismatch("log-probabilities must not be NaN or +inf")
     t_len, cols, _ = lp.shape
-    u_len = cols - 1
-
-    def sid(t: int, u: int) -> int:
-        return t * cols + u
-
-    pre_final = t_len * cols
-    final = pre_final + 1
     blank = vocab.blank_id
-    star = vocab.star_id
-    star_w = star_log_prob(lp[..., blank], vocab.size)
+    rows = np.concatenate([lp, star_log_prob(lp[..., blank], vocab.size)[..., None]], axis=-1).tolist()
+    # per chain state: the arcs that emit (u -> u+1), then those that consume a frame (u -> u)
+    emit: List[List[Arc]] = [[] for _ in range(cols)]
+    wait = [[Arc(u, u, blank, EPSILON, 0.0, ArcKind.BLANK, position=u)] for u in range(cols)]
+    *chain, last = _chain(vocab, tokens, penalties).arcs
+    for a in chain:
+        (wait if a.dst == a.src else emit)[a.src].append(a)
+
+    def at(a: Arc, t: int, dst: int) -> Arc:  # chain arc a read in row (t, a.src)
+        return Arc(t * cols + a.src, dst, a.label, a.olabel, a.weight + rows[t][a.src][a.label], a.kind, t, a.position)
+
     arcs: List[Arc] = []
     for t in range(t_len):
         for u in range(cols):
-            if u < u_len:
-                tok = int(tokens[u])
-                arcs.append(Arc(sid(t, u), sid(t, u + 1), tok, tok, float(lp[t, u, tok]),
-                                ArcKind.TOKEN, frame=t, position=u))
-                if penalties is not None:
-                    arcs.append(Arc(sid(t, u), sid(t, u + 1), star, star,
-                                    float(star_w[t, u] + penalties.lambda1),
-                                    ArcKind.TOKEN_BYPASS, frame=t, position=u))
+            arcs += [at(a, t, t * cols + u + 1) for a in emit[u]]
             if t < t_len - 1:
-                arcs.append(Arc(sid(t, u), sid(t + 1, u), blank, EPSILON, float(lp[t, u, blank]),
-                                ArcKind.BLANK, frame=t, position=u))
-                if penalties is not None:
-                    arcs.append(Arc(sid(t, u), sid(t + 1, u), star, star,
-                                    float(star_w[t, u] + penalties.lambda2),
-                                    ArcKind.BLANK_BYPASS, frame=t, position=u))
-    arcs.append(Arc(sid(t_len - 1, u_len), pre_final, blank, EPSILON,
-                    float(lp[t_len - 1, u_len, blank]), ArcKind.BLANK, frame=t_len - 1, position=u_len))
-    arcs.append(Arc(pre_final, final, EPSILON, EPSILON, 0.0, ArcKind.FINAL))
-    return Wfst(num_states=final + 1, start=0, final=final, arcs=arcs)
+                arcs += [at(a, t, (t + 1) * cols + u) for a in wait[u]]
+    pre_final = t_len * cols
+    arcs += [at(wait[-1][0], t_len - 1, pre_final), replace(last, src=pre_final, dst=pre_final + 1)]
+    return Wfst(num_states=pre_final + 2, start=0, final=pre_final + 1, arcs=arcs)

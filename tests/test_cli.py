@@ -60,6 +60,57 @@ class TestGraph:
         assert code == 1
         assert "error:" in err
 
+    @pytest.mark.parametrize("frames", ["0", "-1"])
+    def test_frames_below_one_names_the_flag(self, capsys, frames):
+        code, out, err = run(capsys, "graph", "--type", "wst", "--tokens", "1",
+                             "--vocab-size", "3", "--frames", frames)
+        assert code == 1
+        assert out == ""
+        assert "--frames" in err
+
+    @pytest.mark.parametrize("size", ["0", "1"])
+    def test_vocab_size_below_two_is_domain_error(self, capsys, size):
+        code, out, err = run(capsys, "graph", "--type", "transcript", "--tokens", "1",
+                             "--vocab-size", size)
+        assert code == 1
+        assert out == ""
+        assert "error:" in err
+
+    def test_vocab_size_defaults_to_tensor_v(self, capsys, tmp_path):
+        path = tmp_path / "t.json"
+        write_tensor(path, 2, 1, 5, [0.0] * 20)
+        code, out, _ = run(capsys, "graph", "--type", "wst", "--tokens", "1", "--tensor", str(path))
+        assert code == 0
+        assert {a["label"] for a in json.loads(out)["arcs"]} == {EPSILON, 0, 1, 5}  # star id is |V| = 5
+
+    def test_lattice_dot_bytes(self, capsys):
+        # per cell: token, token bypass (lambda1), blank, blank bypass (lambda2); the final blank has no twin
+        code, out, _ = run(capsys, "graph", "--type", "wst", "--tokens", "1,2", "--vocab-size", "3",
+                           "--frames", "2", "--lambda1=-0.5", "--lambda2=-2", "--out", "dot")
+        assert code == 0
+        assert out == """digraph wfst {
+  rankdir=LR;
+  node [shape=circle];
+  7 [shape=doublecircle];
+  0 -> 1 [label="1:1/-1.09861"];
+  0 -> 1 [label="star:star/-1.59861"];
+  0 -> 3 [label="blk:eps/-1.09861"];
+  0 -> 3 [label="star:star/-3.09861"];
+  1 -> 2 [label="2:2/-1.09861"];
+  1 -> 2 [label="star:star/-1.59861"];
+  1 -> 4 [label="blk:eps/-1.09861"];
+  1 -> 4 [label="star:star/-3.09861"];
+  2 -> 5 [label="blk:eps/-1.09861"];
+  2 -> 5 [label="star:star/-3.09861"];
+  3 -> 4 [label="1:1/-1.09861"];
+  3 -> 4 [label="star:star/-1.59861"];
+  4 -> 5 [label="2:2/-1.09861"];
+  4 -> 5 [label="star:star/-1.59861"];
+  5 -> 6 [label="blk:eps/-1.09861"];
+  6 -> 7 [label="eps:eps/0"];
+}
+"""
+
 
 class TestLoss:
     def test_rnnt_worked_example(self, capsys, tmp_path):
@@ -252,8 +303,9 @@ class TestCorruptAndScore:
         {"id": 0, "tokens": [1, 2.0]},
         {"id": 0, "tokens": [1, True]},
         {"id": [0], "tokens": [1]},
+        {"id": True, "tokens": [1]},
         {"tokens": [1]},
-    ], ids=["list row", "null tokens", "string tokens", "float token", "bool token", "list id", "no id"])
+    ], ids=["list row", "null tokens", "string tokens", "float token", "bool token", "list id", "bool id", "no id"])
     def test_malformed_rows(self, capsys, tmp_path, row):
         good = tmp_path / "good.jsonl"
         bad = tmp_path / "bad.jsonl"
@@ -265,6 +317,18 @@ class TestCorruptAndScore:
             code, _, err = run(capsys, *argv)
             assert code == 1
             assert str(bad) in err
+
+
+    def test_score_duplicate_id(self, capsys, tmp_path):
+        dup = tmp_path / "dup.jsonl"
+        one = tmp_path / "one.jsonl"
+        write_jsonl(dup, [{"id": 1, "tokens": [1, 2]}, {"id": 1, "tokens": [3]}])
+        write_jsonl(one, [{"id": 1, "tokens": [3]}])
+        for argv in (("--ref", str(dup), "--hyp", str(one)), ("--ref", str(one), "--hyp", str(dup))):
+            code, out, err = run(capsys, "score", *argv)
+            assert code == 1
+            assert out == ""
+            assert str(dup) in err
 
 
 class TestTrainAndSweep:
