@@ -176,7 +176,6 @@ def cmd_train(args) -> int:
 
 
 DEFAULT_RATES = (0.0, 0.1, 0.3, 0.5, 0.7)
-DEFAULT_KINDS = ("sub", "ins", "del", "mixed")
 
 
 def cmd_sweep(args) -> int:
@@ -184,6 +183,11 @@ def cmd_sweep(args) -> int:
     if args.config:
         with open(args.config) as fh:
             base = toytrain.config_from_dict(json.load(fh))
+    rates = list(DEFAULT_RATES) if args.rates is None else [float(r) for r in args.rates.split(",")]
+    kinds = list(corruption.KINDS) if args.kinds is None else args.kinds.split(",")
+    # the whole grid is checked before --output is opened or a cell is trained
+    specs = [corruption.CorruptionSpec(kind, rate, base.corruption.seed)
+             for kind, rate in itertools.product(kinds, rates)]
     done = set()
     if args.resume:
         try:
@@ -192,15 +196,12 @@ def cmd_sweep(args) -> int:
         except FileNotFoundError:
             pass
     mode = "a" if args.resume and done else "w"
-    rates = [float(r) for r in args.rates.split(",")] if args.rates else list(DEFAULT_RATES)
-    kinds = args.kinds.split(",") if args.kinds else list(DEFAULT_KINDS)
     with open(args.output, mode) as fh:
-        for kind, rate, criterion in itertools.product(kinds, rates, ("rnnt", "wst")):
+        for spec, criterion in itertools.product(specs, ("rnnt", "wst")):
+            kind, rate = spec.kind, spec.rate
             if (criterion, kind, rate) in done:
                 continue
-            config = dataclasses.replace(
-                base, corruption=corruption.CorruptionSpec(kind, rate, base.corruption.seed),
-                criterion=criterion)
+            config = dataclasses.replace(base, corruption=spec, criterion=criterion)
             report = toytrain.run_experiment(config)
             row = {
                 "criterion": criterion,

@@ -9,19 +9,20 @@ to ``wfst.total_weight`` on the built lattice (the test suite asserts
 equality against both the lattice route and exhaustive path enumeration).
 A call checks its input once, against the grid contract the builders share.
 
-The recurrence is written once, in ``_sweep``, as a wavefront: cell (t, u)
+The recurrence is written once, in ``_alpha_beta``, as a wavefront: cell (t, u)
 depends only on (t, u-1) and (t-1, u), so each anti-diagonal d = t + u is one
 vector step over arc weights stored skewed, cell (t, u) at (d, u), with -inf
 outside the grid. A diagonal is one flat row that holds every item's U+1
 cells between -inf pad cells, 2B(U+3) in all, and the arc planes share that
 layout, so a step is three 1-D ufunc calls over the row (Bagby et al., SLT
-2018, lay out the anti-diagonals the same way). Arcs into pad cells are -inf,
-so the pads stay -inf and keep the items apart. Alpha is the sweep from
-(0, 0), and beta is the same sweep on the grid reversed in both axes; one
-sweep computes both, over the forward and reversed planes stacked on the
-batch axis (2B rows), and splits them afterwards. The grid ends in a frame T
-whose only reachable cell is (T, U): the mandatory final blank is the one arc
-into it, with no bypass twin, so the log total weight is alpha at (T, U).
+2018, lay out the anti-diagonals the same way). ``_cells`` states the layout
+once, as a strided grid view that writes the arc planes and reads the scores.
+Arcs into pad cells are -inf, so the pads stay -inf and keep the items apart.
+Alpha is the sweep from (0, 0), and beta is the same sweep on the grid
+reversed in both axes, run in the same rows as items B..2B-1. The grid ends
+in a frame T whose only reachable cell is (T, U): the mandatory final blank
+is the one arc into it, with no bypass twin, so the log total weight is alpha
+at (T, U).
 Every cell sees the same operands as a cell-by-cell loop (``logaddexp(-inf,
 x) == x``, ``x + 0.0 == x``, and IEEE ``+`` and ``logaddexp`` commute), and
 the recurrence is elementwise over the batch axis, so the result is
@@ -52,6 +53,7 @@ gradients overwrite the log-probabilities, the one dense array a call allocates.
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .exceptions import NoPath, ShapeMismatch
 from .graphs import PenaltyConfig, _check_grid, item_tensor, penalties_for
@@ -93,44 +95,40 @@ def log_softmax(logits) -> np.ndarray:
     return out
 
 
-def _skew(plane: np.ndarray, diags: int, col_offset: int, width: int) -> np.ndarray:
-    """[B, T', C] grid plane -> [diags, B, width], cell (t, u) at (t + u, u + col_offset).
+def _cells(skewed: np.ndarray, frames: int, cols: int, row: int, col: int) -> np.ndarray:
+    """[frames, B, cols] view of [diags, B, width] ``skewed``, cell (t, u) at (row + t + u, col + u).
 
-    Everything else is -inf. The diagonal axis comes first so that one
-    diagonal is a contiguous block.
+    It is in bounds if row + frames + cols - 2 < diags and col + cols <= width.
     """
-    out = np.full((diags, plane.shape[0], width), NEG_INF)
-    for u in range(plane.shape[2]):
-        out[u:u + plane.shape[1], :, u + col_offset] = plane[:, :, u].T
-    return out
+    s_d, s_b, s_c = skewed.strides
+    return as_strided(skewed[row:, :, col:], (frames, skewed.shape[1], cols), (s_d, s_b, s_d + s_c))
 
 
-def _sweep(vert: np.ndarray, horiz: np.ndarray) -> np.ndarray:
-    """Forward log scores of a grid lattice from (0, 0), one anti-diagonal per step.
+def _alpha_beta(vert: np.ndarray, horiz: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Forward and backward log scores [B, T+1, U+1] of a grid lattice, one anti-diagonal per step.
 
-    vert [B, S, U] weighs the arcs (t, u) -> (t, u+1), horiz [B, S-1, U+1] the
-    arcs (t, u) -> (t+1, u); returns [B, S, U+1]. A diagonal is one flat row of
-    B items of U+3 cells: a -inf pad, the U+1 cells, a -inf pad. The arc planes
-    share that layout, each arc in the column of the cell it enters, so a step
-    is three ufunc calls over the row between its end pads. Pad cells take the
-    -inf arcs and so stay -inf, keeping the items apart.
+    vert [B, T, U] weighs the arcs (t, u) -> (t, u+1), horiz [B, T, U+1] the
+    arcs (t, u) -> (t+1, u); a skewed plane holds each arc in the column of the cell it enters.
     """
-    b_sz, frames, u_len = vert.shape
-    cols, diags = u_len + 1, frames + u_len
-    a = np.full((diags, b_sz, cols + 2), NEG_INF)
+    b_sz, t_len, u_len = vert.shape
+    cols = u_len + 1
+    a = np.full((t_len + cols, 2 * b_sz, cols + 2), NEG_INF)
     a[0, :, 1] = 0.0
-    rows = a.reshape(diags, -1)
-    vs = _skew(vert, diags, 2, cols + 2).reshape(diags, -1)
-    hs = _skew(horiz, diags, 1, cols + 2).reshape(diags, -1)
+    vs, hs = np.full((2, *a.shape), NEG_INF)  # apart from a, which alpha and beta keep alive
+    # frame 0 of the reversed grid is frame T, which has no vert arcs
+    _cells(vs[:, :b_sz], t_len, u_len, 0, 2)[...] = vert.transpose(1, 0, 2)
+    _cells(vs[:, b_sz:], t_len, u_len, 1, 2)[...] = vert[:, ::-1, ::-1].transpose(1, 0, 2)
+    _cells(hs[:, :b_sz], t_len, cols, 0, 1)[...] = horiz.transpose(1, 0, 2)
+    _cells(hs[:, b_sz:], t_len, cols, 0, 1)[...] = horiz[:, ::-1, ::-1].transpose(1, 0, 2)
+    rows, vs, hs = (x.reshape(len(x), -1) for x in (a, vs, hs))
     t1, t2 = np.empty((2, rows.shape[1] - 2))
     for left, mid, v, h, cur in zip(rows[:-1, :-2], rows[:-1, 1:-1], vs[:-1, 1:-1], hs[:-1, 1:-1],
                                     rows[1:, 1:-1]):
         np.add(left, v, out=t1)
         np.add(mid, h, out=t2)
         np.logaddexp(t1, t2, out=cur)
-    t_ix = np.arange(frames)[:, None]
-    u_ix = np.arange(cols)[None, :]
-    return np.moveaxis(a[t_ix + u_ix, :, u_ix + 1], -1, 0)
+    scores = _cells(a, t_len + 1, cols, 0, 1).transpose(1, 0, 2)  # [2B, T+1, U+1]
+    return scores[:b_sz], scores[b_sz:, ::-1, ::-1]
 
 
 def _occupancy(alpha_src: np.ndarray, arc: np.ndarray, beta_dst: np.ndarray, total: np.ndarray) -> np.ndarray:
@@ -197,13 +195,7 @@ def _grid_loss_grad(
     # mandatory final blank is the one arc out of frame T-1, with no twin.
     horiz[:, -1, :] = NEG_INF
     horiz[:, -1, -1] = blank[:, -1, -1]
-    vert_end = np.concatenate([vert, np.full((b_sz, 1, u_len), NEG_INF)], axis=1)
-
-    # beta is the forward pass of the reversed grid; both run in one sweep,
-    # the reversed planes stacked after the forward ones on the batch axis
-    scores = _sweep(np.concatenate([vert_end, vert_end[:, ::-1, ::-1]]),
-                    np.concatenate([horiz, horiz[:, ::-1, ::-1]]))  # [2B, T+1, U+1]
-    alpha, beta = scores[:b_sz], scores[b_sz:, ::-1, ::-1]
+    alpha, beta = _alpha_beta(vert, horiz)
     total = alpha[:, t_len, u_len]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         gamma_vert = _occupancy(alpha[:, :t_len, :u_len], vert, beta[:, :t_len, 1:], total)

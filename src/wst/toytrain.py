@@ -25,7 +25,7 @@ from .corruption import edit_counts  # noqa: F401 -- bench/tracing.py wraps toyt
 from .exceptions import Divergence, NoPath, ShapeMismatch
 from .graphs import PenaltyConfig, penalties_for
 from .loss import batched_grid_loss
-from .vocab import Vocab, check_field_types
+from .vocab import Vocab, check_field_types, validate_transcript
 
 Utterance = Tuple[np.ndarray, List[int]]
 
@@ -137,7 +137,8 @@ def init_params(task: ToyTask, hidden: int, seed: int) -> ToyModelParams:
 
 
 def forward(params: ToyModelParams, features: np.ndarray, tokens: Sequence[int]) -> np.ndarray:
-    """Logit tensor [T][U+1][|V|] for one utterance."""
+    """Logit tensor [T][U+1][|V|] for one utterance; a token that is not a real symbol raises VocabError."""
+    validate_transcript(Vocab(params.joiner_w.shape[0]), tokens)
     xs = np.asarray(features, dtype=float)[None]
     logits, _, _ = _forward_batch(params, xs, np.asarray([list(tokens)], dtype=int))
     return logits[0]
@@ -274,14 +275,15 @@ def greedy_decode(
     The search emits the argmax token while it is non-blank (it becomes the context,
     up to the per-frame cap), otherwise advances to the next frame.
     """
-    if max_symbols_per_frame < 1:
-        raise ValueError("max_symbols_per_frame must be >= 1")
+    cap = max_symbols_per_frame
+    if isinstance(cap, bool) or not isinstance(cap, (int, np.integer)) or cap < 1:
+        raise ValueError(f"max_symbols_per_frame must be an integer >= 1, got {cap!r}")
     # row c of a frame's [V, V] table holds the logits after context c
     table = forward(params, features, range(1, params.joiner_w.shape[0]))
     out: List[int] = []
     ctx = 0  # blank context
     for frame in table:
-        for _ in range(max_symbols_per_frame):
+        for _ in range(cap):
             best = int(np.argmax(frame[ctx]))
             if best == 0:
                 break

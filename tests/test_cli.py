@@ -374,6 +374,26 @@ class TestTrainAndSweep:
         assert out.read_bytes() == before  # everything already done
         assert "cell" not in err
 
+    @pytest.mark.parametrize("grid", [
+        ("--kinds", "sub,bogus", "--rates", "0.0"),
+        ("--kinds", "sub", "--rates", "0.1,1.5"),
+        ("--kinds", "sub", "--rates", ""),
+        ("--kinds", "", "--rates", "0.0"),
+    ], ids=["kind_after_good", "rate_above_1", "empty_rates", "empty_kinds"])
+    def test_sweep_checks_grid_before_any_cell(self, capsys, tmp_path, grid):
+        config = json.loads(json.dumps(self.SMALL))
+        config["task"]["train_size"] = 8
+        config["epochs"] = 1
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "sweep.jsonl"
+        out.write_text('{"earlier": "row"}\n')
+        before = out.read_bytes()
+        code, _, err = run(capsys, "sweep", "--output", str(out), "--config", str(cfg), *grid)
+        assert code == 1
+        assert "error:" in err and "cell" not in err
+        assert out.read_bytes() == before
+
     @pytest.mark.parametrize("section", [None, "task", "corruption", "penalties"])
     def test_train_unknown_config_key(self, capsys, tmp_path, section):
         config = json.loads(json.dumps(self.SMALL))

@@ -6,7 +6,7 @@ import pytest
 
 from wst.corruption import CorruptionSpec
 from wst import toytrain
-from wst.exceptions import Divergence, NoPath, ShapeMismatch
+from wst.exceptions import Divergence, NoPath, ShapeMismatch, VocabError
 from wst.graphs import PenaltyConfig, build_ws_transcript_graph
 from wst.loss import batched_grid_loss, rnnt_loss
 from wst.numerics import NEG_INF
@@ -160,6 +160,13 @@ class TestForward:
             greedy_decode(params, bad)
         with pytest.raises(ShapeMismatch):
             greedy_decode(params, np.zeros(SMALL_TASK.feature_dim))
+
+    @pytest.mark.parametrize("tokens", [[99], [0], [1, SMALL_TASK.vocab_size], [1.5], [True]])
+    def test_transcript_outside_vocabulary(self, tokens):
+        # out of range, blank, star, a fraction and a bool are all VocabErrors, not IndexErrors
+        params = init_params(SMALL_TASK, 8, 0)
+        with pytest.raises(VocabError):
+            forward(params, np.zeros((3, SMALL_TASK.feature_dim)), tokens)
 
     def test_decode_accepts_nested_lists(self):
         params = init_params(SMALL_TASK, 8, 0)
@@ -335,8 +342,11 @@ class TestGreedyDecode:
 
     def test_cap_validation(self):
         params = init_params(SMALL_TASK, 8, 0)
-        with pytest.raises(ValueError):
-            greedy_decode(params, np.zeros((1, SMALL_TASK.feature_dim)), 0)
+        feats = np.zeros((1, SMALL_TASK.feature_dim))
+        for cap in (0, -1, 2.5, 1.0, True, "2", None):
+            with pytest.raises(ValueError, match="max_symbols_per_frame"):
+                greedy_decode(params, feats, cap)
+        assert greedy_decode(params, feats, np.int64(2)) == greedy_decode(params, feats, 2)
 
 
 class TestEvaluate:
