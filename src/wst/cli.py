@@ -16,6 +16,7 @@ import dataclasses
 import itertools
 import json
 import math
+import os
 import sys
 from typing import List, Optional
 
@@ -44,12 +45,12 @@ def _load_tensor(path: str):
     with open(path) as fh:
         obj = json.load(fh)
     try:
-        t, u, v = int(obj["T"]), int(obj["U"]), int(obj["V"])
+        t, u, v = obj["T"], obj["U"], obj["V"]
         data = np.asarray(obj["data"], dtype=float)
     except (TypeError, ValueError, KeyError, OverflowError) as exc:
         raise WstError(f"tensor file {path}: need an object with integer T, U, V and numeric data ({exc!r})")
-    if min(t, u, v) < 0:
-        raise WstError(f"tensor file {path}: T, U and V must be >= 0, got {t}, {u}, {v}")
+    if not all(type(n) is int and n >= 0 for n in (t, u, v)):
+        raise WstError(f"tensor file {path}: T, U and V must be integers >= 0, got {t!r}, {u!r}, {v!r}")
     if data.size != t * (u + 1) * v:
         raise WstError(f"tensor file {path}: data has {data.size} values, expected {t * (u + 1) * v}")
     if not np.isfinite(data).all():
@@ -186,16 +187,18 @@ def cmd_sweep(args) -> int:
     rates = list(DEFAULT_RATES) if args.rates is None else [float(r) for r in args.rates.split(",")]
     kinds = list(corruption.KINDS) if args.kinds is None else args.kinds.split(",")
     # the whole grid is checked before --output is opened or a cell is trained
+    for flag, values in (("--rates", rates), ("--kinds", kinds)):
+        repeated = next((x for i, x in enumerate(values) if x in values[:i]), None)
+        if repeated is not None:
+            raise WstError(f"{flag} repeats {repeated!r}")
     specs = [corruption.CorruptionSpec(kind, rate, base.corruption.seed)
              for kind, rate in itertools.product(kinds, rates)]
-    done = set()
-    if args.resume:
-        try:
-            for row in _read_jsonl(args.output):
-                done.add((row["criterion"], row["kind"], row["rate"]))
-        except FileNotFoundError:
-            pass
-    mode = "a" if args.resume and done else "w"
+    rows = _read_jsonl(args.output) if args.resume and os.path.exists(args.output) else []
+    if not all(isinstance(r, dict) and type(r.get("criterion")) is str and type(r.get("kind")) is str
+               and type(r.get("rate")) in (int, float) for r in rows):
+        raise WstError(f'{args.output}: every row must have a string "criterion" and "kind" and a numeric "rate"')
+    done = {(r["criterion"], r["kind"], r["rate"]) for r in rows}
+    mode = "a" if done else "w"
     with open(args.output, mode) as fh:
         for spec, criterion in itertools.product(specs, ("rnnt", "wst")):
             kind, rate = spec.kind, spec.rate
@@ -282,7 +285,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (WstError, ValueError, OSError, KeyError) as exc:
+    except (WstError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -53,9 +53,9 @@ class EmptyReference(WstError, ValueError):
 
 
 class Divergence(WstError):
-    """Training stopped because the loss raised NoPath on a batch's logits."""
+    """Training stopped because the loss rejected a batch's logits: NoPath, or logits not finite."""
 
     def __init__(self, epoch: int, batch: int):
         self.epoch = epoch
         self.batch = batch
-        super().__init__(f"the loss raised NoPath at epoch {epoch}, batch {batch}")
+        super().__init__(f"the loss rejected the logits at epoch {epoch}, batch {batch}")

@@ -46,8 +46,11 @@ the two planes from a -0.0 fill in place of the softmax term.
 The dense [B, T, U+1, V] passes, log-softmax and the logit gradient, take one
 cache-sized block of whole rows through all their steps at a time, so each
 reads and writes main memory once. Every step is elementwise or reduces along
-the last axis, so the result is bit-identical to whole-array steps. Both
-gradients overwrite the log-probabilities, the one dense array a call allocates.
+the last axis, so the result is bit-identical to whole-array steps. The
+finiteness check lives in that loop too: log-softmax rejects a block with a
+NaN or infinite entry before it takes the row maxima, and every loss and the
+oracle reach that one check, after the grid contract. Both gradients
+overwrite the log-probabilities, the one dense array a call allocates.
 """
 
 from typing import Optional, Sequence, Tuple
@@ -79,7 +82,7 @@ def log_softmax(logits) -> np.ndarray:
 
     An entry more than about 1.8e308 below its row's maximum overflows to
     -inf, the log of a probability that is 0 in floating point. A 0-d input,
-    or a row whose maximum is NaN, +inf or -inf, raises ShapeMismatch.
+    or any entry that is NaN, +inf or -inf, raises ShapeMismatch.
     """
     if np.ndim(logits) == 0:
         raise ShapeMismatch("log-softmax needs an axis to normalise over")
@@ -87,9 +90,9 @@ def log_softmax(logits) -> np.ndarray:
     out = np.empty_like(z)
     with np.errstate(over="ignore"):  # only z - m can overflow
         for zb, shifted in _row_blocks(z, out):
+            if not np.isfinite(zb).all():
+                raise ShapeMismatch("logits must be finite")
             m = zb.max(axis=-1, keepdims=True)
-            if not np.isfinite(m).all():
-                raise ShapeMismatch("log-softmax needs a finite maximum in every row")
             np.subtract(zb, m, out=shifted)
             shifted -= np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     return out
@@ -238,19 +241,6 @@ def _write_grad(lp: np.ndarray, d_blank: np.ndarray, d_tok: np.ndarray, flat: np
     return lp
 
 
-def _finite_logits(z: np.ndarray) -> np.ndarray:
-    if not np.isfinite(z).all():
-        raise ShapeMismatch("logits must be finite")
-    return z
-
-
-def _item_logits(logits, tokens: Sequence[int]) -> np.ndarray:
-    """One item's [T, U+1, V] logits as a float array, checked as a batch of one."""
-    z = item_tensor(logits)
-    _check_grid(z[None], [list(tokens)])
-    return _finite_logits(z)
-
-
 def _single_loss(logits, tokens, criterion, penalties, grad_wrt) -> Tuple[float, np.ndarray]:
     """``batched_grid_loss`` on a batch of one [T, U+1, V] item, which checks the rest."""
     z = item_tensor(logits)
@@ -294,10 +284,10 @@ def batched_grid_loss(
     logits: [B, T, U+1, V]; ys: [B, U]. Per-item results are bit-identical to
     the corresponding single calls (the recurrence is elementwise over the
     batch axis). Input that breaks the grid contract, ``graphs._check_grid``,
-    raises its ShapeMismatch or VocabError, and non-finite logits raise
-    ShapeMismatch. An item whose arc occupancies do not sum to 1 over each
-    frame and each position raises NoPath: no path, a lost path count or an
-    overflow. Otherwise the loss and gradient are finite.
+    raises its ShapeMismatch or VocabError, and then non-finite logits raise
+    log-softmax's ShapeMismatch. An item whose arc occupancies do not sum to
+    1 over each frame and each position raises NoPath: no path, a lost path
+    count or an overflow. Otherwise the loss and gradient are finite.
     ``penalties`` are ignored for ``"rnnt"``; for ``"wst"``, None means
     ``PenaltyConfig()``.
     """
@@ -308,7 +298,6 @@ def batched_grid_loss(
     if grad_wrt not in ("logits", "logprobs"):
         raise ValueError(f"grad_wrt must be 'logits' or 'logprobs', got {grad_wrt!r}")
     ys = _check_grid(z, ys)
-    _finite_logits(z)
     lp = log_softmax(z)
     total, d_blank, d_tok, flat = _grid_loss_grad(lp, ys, pen)
     return -total, _write_grad(lp, d_blank, d_tok, flat, grad_wrt == "logits")

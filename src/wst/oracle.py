@@ -8,8 +8,8 @@ not share their machinery beyond the lattice builders and the input checks.
 from typing import List, Optional, Sequence, Tuple
 
 from .exceptions import NoPath, TooManyPaths
-from .graphs import PenaltyConfig, _grid_lattice, penalties_for
-from .loss import _item_logits, log_softmax
+from .graphs import PenaltyConfig, _check_grid, _grid_lattice, item_tensor, penalties_for
+from .loss import log_softmax
 from .numerics import NEG_INF, log_sum
 from .vocab import Vocab
 from .wfst import Wfst, out_arcs, topo_sort
@@ -49,7 +49,9 @@ def brute_force_loss(
 ) -> float:
     """Loss by explicit summation over every enumerated alignment path; NoPath if none has finite weight."""
     pen = penalties_for(criterion, penalties)
-    lp = log_softmax(_item_logits(logits, tokens))
+    z = item_tensor(logits)
+    _check_grid(z[None], [list(tokens)])
+    lp = log_softmax(z)
     g = _grid_lattice(Vocab(lp.shape[-1]), tokens, lp, pen)
     total = log_sum(w for _, w in enumerate_paths(g, max_paths=max_paths))
     if total == NEG_INF:  # the kernel raises NoPath here too

@@ -170,8 +170,12 @@ class TestLoss:
         {"T": 2, "U": 0, "V": 2, "kind": "logprobs", "data": [0, -math.inf, 0, -math.inf]},
         {"T": 2, "U": 0, "V": 2, "kind": "logits", "data": [0, -math.inf, 0, -math.inf]},
         {"T": 2, "U": 0, "V": 2, "kind": "logprobs", "data": [-0.1, -0.2, -0.3, -0.4]},
+        {"T": True, "U": 0, "V": 2, "data": [0.0, 0.0]},
+        {"T": 1.5, "U": 0, "V": 2, "data": [0.0, 0.0]},
+        {"T": "1", "U": 0, "V": 2, "data": [0.0, 0.0]},
     ], ids=["list", "null T", "infinite T", "object data", "no T", "negative T and V",
-            "non-finite logprobs", "non-finite logits", "unnormalised logprobs"])
+            "non-finite logprobs", "non-finite logits", "unnormalised logprobs",
+            "bool T", "fractional T", "string T"])
     def test_malformed_tensor_file(self, capsys, tmp_path, content):
         path = tmp_path / "t.json"
         path.write_text(json.dumps(content))
@@ -374,13 +378,16 @@ class TestTrainAndSweep:
         assert out.read_bytes() == before  # everything already done
         assert "cell" not in err
 
-    @pytest.mark.parametrize("grid", [
-        ("--kinds", "sub,bogus", "--rates", "0.0"),
-        ("--kinds", "sub", "--rates", "0.1,1.5"),
-        ("--kinds", "sub", "--rates", ""),
-        ("--kinds", "", "--rates", "0.0"),
-    ], ids=["kind_after_good", "rate_above_1", "empty_rates", "empty_kinds"])
-    def test_sweep_checks_grid_before_any_cell(self, capsys, tmp_path, grid):
+    @pytest.mark.parametrize("grid, named", [
+        (("--kinds", "sub,bogus", "--rates", "0.0"), "'bogus'"),
+        (("--kinds", "sub", "--rates", "0.1,1.5"), "1.5"),
+        (("--kinds", "sub", "--rates", ""), "''"),
+        (("--kinds", "", "--rates", "0.0"), "''"),
+        (("--kinds", "sub", "--rates", "0.1,0.10"), "--rates repeats 0.1"),
+        (("--kinds", "sub,del,sub", "--rates", "0.0"), "--kinds repeats 'sub'"),
+    ], ids=["kind_after_good", "rate_above_1", "empty_rates", "empty_kinds", "repeated_rate",
+            "repeated_kind"])
+    def test_sweep_checks_grid_before_any_cell(self, capsys, tmp_path, grid, named):
         config = json.loads(json.dumps(self.SMALL))
         config["task"]["train_size"] = 8
         config["epochs"] = 1
@@ -391,7 +398,22 @@ class TestTrainAndSweep:
         before = out.read_bytes()
         code, _, err = run(capsys, "sweep", "--output", str(out), "--config", str(cfg), *grid)
         assert code == 1
-        assert "error:" in err and "cell" not in err
+        assert "error:" in err and named in err and "cell" not in err
+        assert out.read_bytes() == before
+
+    @pytest.mark.parametrize("row", [
+        [1, 2],
+        {"criterion": "rnnt", "kind": "sub", "rate": [0.1]},
+        {"kind": "sub", "rate": 0.1},
+    ], ids=["list_row", "list_rate", "no_criterion"])
+    def test_sweep_resume_rejects_malformed_rows(self, capsys, tmp_path, row):
+        out = tmp_path / "sweep.jsonl"
+        write_jsonl(out, [{"criterion": "rnnt", "kind": "sub", "rate": 0.0}, row])
+        before = out.read_bytes()
+        code, _, err = run(capsys, "sweep", "--output", str(out), "--kinds", "sub", "--rates", "0.0",
+                           "--resume")
+        assert code == 1
+        assert err.count("error:") == 1 and str(out) in err
         assert out.read_bytes() == before
 
     @pytest.mark.parametrize("section", [None, "task", "corruption", "penalties"])

@@ -69,8 +69,13 @@ class TestLogSoftmax:
     def test_bad_row_in_a_later_block_rejected(self):
         z = np.zeros((3 * _BLOCK_BYTES // 32 + 1, 4))  # three blocks and one row
         z[-1, 2] = np.nan
-        with pytest.raises(ShapeMismatch, match="finite maximum"):
+        with pytest.raises(ShapeMismatch, match="logits must be finite"):
             log_softmax(z)
+
+    def test_neg_inf_entry_under_a_finite_maximum_rejected(self):
+        """Any non-finite entry is rejected, as every loss entry point rejects it."""
+        with pytest.raises(ShapeMismatch, match="logits must be finite"):
+            log_softmax(np.asarray([[0.0, 1.0], [2.0, -np.inf]]))
 
 
 class TestRnntLoss:

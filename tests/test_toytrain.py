@@ -285,6 +285,14 @@ class TestTrain:
         assert (exc.value.epoch, exc.value.batch) == (0, 1)
         assert isinstance(exc.value.__cause__, NoPath)
 
+    def test_non_finite_logits_are_divergence(self):
+        """The update overflows the weights, and the next batch's logits are not finite."""
+        with pytest.raises(Divergence) as exc:
+            train(small_config(learning_rate=1e308))
+        assert (exc.value.epoch, exc.value.batch) == (0, 1)
+        assert isinstance(exc.value.__cause__, ShapeMismatch)
+        assert str(exc.value.__cause__) == "logits must be finite"
+
     def test_no_path_is_divergence(self, monkeypatch):
         def no_path(*args, **kwargs):
             raise NoPath("lattice of item 0 admits no accepting path")
