@@ -5,9 +5,10 @@ stdout (or --output) as JSON / JSONL; diagnostics go to stderr. Exit codes:
 0 success, 1 domain error, 2 usage error.
 
 Tensor files are JSON: {"T": t, "U": u, "V": v, "kind": "logits"|"logprobs",
-"data": [row-major T*(U+1)*V finite doubles]}; each row of a logprobs file
-must log-sum to 0 within 1e-6. Token lists are comma-separated integers;
-the empty string is the empty transcript.
+"data": [row-major T*(U+1)*V finite JSON numbers]}; each row of a logprobs
+file must log-sum to 0 within 1e-6. Every input file is read as UTF-8 JSON
+(or JSONL), and one that is not is an error naming it. Token lists are
+comma-separated integers; the empty string is the empty transcript.
 --lambda1/--lambda2 accept the literal -inf (use the --flag=value form).
 """
 
@@ -41,13 +42,23 @@ def _parse_lambda(text: str) -> float:
     return v
 
 
-def _load_tensor(path: str):
-    with open(path) as fh:
-        obj = json.load(fh)
+def _read_json(path: str, lines: bool = False):
+    """The JSON value in ``path``, or with ``lines`` its non-blank lines' values; a WstError names a bad file."""
     try:
-        t, u, v = obj["T"], obj["U"], obj["V"]
-        data = np.asarray(obj["data"], dtype=float)
-    except (TypeError, ValueError, KeyError, OverflowError) as exc:
+        with open(path, encoding="utf-8") as fh:
+            return [json.loads(line) for line in fh if line.strip()] if lines else json.load(fh)
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep to parse
+        raise WstError(f"{path}: not a UTF-8 JSON{'L' if lines else ''} file ({exc})")
+
+
+def _load_tensor(path: str):
+    obj = _read_json(path)
+    try:
+        t, u, v, data = obj["T"], obj["U"], obj["V"], obj["data"]
+        if type(data) is not list or not all(type(x) in (int, float) for x in data):
+            raise TypeError("data is not a flat list of JSON numbers")
+        data = np.asarray(data, dtype=float)
+    except (TypeError, KeyError, OverflowError) as exc:
         raise WstError(f"tensor file {path}: need an object with integer T, U, V and numeric data ({exc!r})")
     if not all(type(n) is int and n >= 0 for n in (t, u, v)):
         raise WstError(f"tensor file {path}: T, U and V must be integers >= 0, got {t!r}, {u!r}, {v!r}")
@@ -114,14 +125,9 @@ def cmd_loss(args) -> int:
     return 0
 
 
-def _read_jsonl(path: str):
-    with open(path) as fh:
-        return [json.loads(line) for line in fh if line.strip()]
-
-
 def _read_token_rows(path: str):
     """The rows of a JSONL file of {"id": string or integer, "tokens": [integers]} objects."""
-    rows = _read_jsonl(path)
+    rows = _read_json(path, lines=True)
     if not all(isinstance(r, dict) and type(r.get("id")) in (str, int) and isinstance(r.get("tokens"), list)
                and all(type(tok) is int for tok in r["tokens"]) for r in rows):
         raise WstError(f'{path}: every row must be {{"id": string or integer, "tokens": [integers]}}')
@@ -169,8 +175,7 @@ def cmd_score(args) -> int:
 
 
 def cmd_train(args) -> int:
-    with open(args.config) as fh:
-        config = toytrain.config_from_dict(json.load(fh))
+    config = toytrain.config_from_dict(_read_json(args.config))
     report = toytrain.run_experiment(config)
     _emit(args, json.dumps(report) + "\n")
     return 0
@@ -180,10 +185,7 @@ DEFAULT_RATES = (0.0, 0.1, 0.3, 0.5, 0.7)
 
 
 def cmd_sweep(args) -> int:
-    base = toytrain.ExperimentConfig()
-    if args.config:
-        with open(args.config) as fh:
-            base = toytrain.config_from_dict(json.load(fh))
+    base = toytrain.config_from_dict(_read_json(args.config)) if args.config else toytrain.ExperimentConfig()
     rates = list(DEFAULT_RATES) if args.rates is None else [float(r) for r in args.rates.split(",")]
     kinds = list(corruption.KINDS) if args.kinds is None else args.kinds.split(",")
     # the whole grid is checked before --output is opened or a cell is trained
@@ -193,7 +195,7 @@ def cmd_sweep(args) -> int:
             raise WstError(f"{flag} repeats {repeated!r}")
     specs = [corruption.CorruptionSpec(kind, rate, base.corruption.seed)
              for kind, rate in itertools.product(kinds, rates)]
-    rows = _read_jsonl(args.output) if args.resume and os.path.exists(args.output) else []
+    rows = _read_json(args.output, lines=True) if args.resume and os.path.exists(args.output) else []
     if not all(isinstance(r, dict) and type(r.get("criterion")) is str and type(r.get("kind")) is str
                and type(r.get("rate")) in (int, float) for r in rows):
         raise WstError(f'{args.output}: every row must have a string "criterion" and "kind" and a numeric "rate"')
@@ -210,7 +212,7 @@ def cmd_sweep(args) -> int:
                 "criterion": criterion,
                 "kind": kind,
                 "rate": rate,
-                "eval_wer": report["eval_wer"],
+                **{k: report[k] for k in ("eval_wer", "eval_sub_rate", "eval_ins_rate", "eval_del_rate")},
                 "realized_error_rate": report["realized_error_rate"],
                 "final_train_loss": report["epochs"][-1],
             }

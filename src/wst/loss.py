@@ -196,6 +196,9 @@ def _grid_loss_grad(
         horiz = np.logaddexp(blank, star + penalties.lambda2)
     # The grid ends in frame T, whose only reachable cell is (T, U): the
     # mandatory final blank is the one arc out of frame T-1, with no twin.
+    # The other arcs out of frame T-1 end where beta is -inf, yet are masked:
+    # under a penalty near the float maximum alpha + arc overflows on them, and
+    # their NaN occupancy would turn a finite loss into NoPath.
     horiz[:, -1, :] = NEG_INF
     horiz[:, -1, -1] = blank[:, -1, -1]
     alpha, beta = _alpha_beta(vert, horiz)

@@ -8,16 +8,16 @@ classification layer. All weights for a lattice — including star weights —
 are read from the single logit tensor computed for the nominal transcript, so
 no per-path decoder state exists anywhere.
 
-Training is plain mini-batch gradient descent (optional momentum) over fixed
-shuffles and shape-grouped batches. Its reports are byte-identical for fixed
-seeds and a fixed BLAS thread count (BLAS may sum in another order on more
-threads); the tests and ``bench/run.py`` pin one thread.
+Training is plain mini-batch gradient descent over fixed shuffles and
+shape-grouped batches. Its reports are byte-identical for fixed seeds and a
+fixed BLAS thread count (BLAS may sum in another order on more threads); the
+tests and ``bench/run.py`` pin one thread.
 """
 
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -76,7 +76,6 @@ class ExperimentConfig:
     learning_rate: float = 0.1
     epochs: int = 60
     batch_size: int = 64
-    momentum: float = 0.0
     max_symbols_per_frame: int = 1
 
     def __post_init__(self):
@@ -141,30 +140,27 @@ def forward(params: ToyModelParams, features: np.ndarray, tokens: Sequence[int])
     """Logit tensor [T][U+1][|V|] for one utterance; a token that is not a real symbol raises VocabError."""
     validate_transcript(Vocab(params.joiner_w.shape[0]), tokens)
     xs = np.asarray(features, dtype=float)[None]
-    logits, _, _ = _forward_batch(params, xs, np.asarray([list(tokens)], dtype=int))
+    logits, _, _ = _forward_batch(params, xs, np.asarray([list(tokens)], dtype=int), {})
     return logits[0]
 
 
-def _scratch(pool: Optional[Dict[str, np.ndarray]], name: str, shape: Tuple[int, ...]) -> np.ndarray:
+def _scratch(pool: Dict[str, np.ndarray], name: str, shape: Tuple[int, ...]) -> np.ndarray:
     """An uninitialised float array of ``shape``.
 
-    Without a pool it is fresh. With one it is a view of the pool's grow-only
-    buffer ``name``, valid until the next request for that name, so the steps
-    of one ``train`` call reuse pages in place of faulting fresh ones in.
+    It is a view of the pool's grow-only buffer ``name``, valid until the next
+    request for that name, so the steps of one ``train`` call reuse pages in
+    place of faulting fresh ones in.
     """
-    if pool is None:
-        return np.empty(shape)
     size = math.prod(shape)
     if name not in pool or pool[name].size < size:
         pool[name] = np.empty(size)
     return pool[name][:size].reshape(shape)
 
 
-def _forward_batch(params: ToyModelParams, xs: np.ndarray, ys: np.ndarray,
-                   pool: Optional[Dict[str, np.ndarray]] = None):
+def _forward_batch(params: ToyModelParams, xs: np.ndarray, ys: np.ndarray, pool: Dict[str, np.ndarray]):
     """xs: [B, T, D]; ys: [B, U]. Returns (logits, tanh activations, contexts).
 
-    The activations live in ``pool``'s buffer when one is given (see ``_scratch``).
+    The activations live in ``pool``'s buffer (see ``_scratch``).
     """
     if xs.ndim != 3 or xs.shape[-1] != params.encoder.shape[1]:
         raise ShapeMismatch(
@@ -181,8 +177,7 @@ def _forward_batch(params: ToyModelParams, xs: np.ndarray, ys: np.ndarray,
     return logits.reshape(*h.shape[:-1], params.joiner_w.shape[0]), h, ctx
 
 
-def _backward_batch(params: ToyModelParams, xs, ctx, h, dlogits,
-                    pool: Optional[Dict[str, np.ndarray]] = None) -> ToyModelParams:
+def _backward_batch(params: ToyModelParams, xs, ctx, h, dlogits, pool: Dict[str, np.ndarray]) -> ToyModelParams:
     """Gradient of sum-loss with respect to the parameters; overwrites ``h``.
 
     The joiner products run on [B*T*(U+1), .] rows and the encoder product on
@@ -236,7 +231,6 @@ def train(config: ExperimentConfig) -> Tuple[ToyModelParams, List[float]]:
     utts = [(feats, toks) for (feats, _), toks in zip(train_set, noisy)]
 
     params = init_params(task, config.hidden, task.seed)
-    velocity = ToyModelParams(*(np.zeros_like(f) for f in params.fields()))
     pool: Dict[str, np.ndarray] = {}  # the model passes' scratch buffers, owned by this call
     curve: List[float] = []
     for epoch in range(config.epochs):
@@ -258,11 +252,7 @@ def train(config: ExperimentConfig) -> Tuple[ToyModelParams, List[float]]:
             dlogits /= len(batch)
             grads = _backward_batch(params, xs, ctx, h, dlogits, pool)
             with np.errstate(over="ignore"):  # a diverging step overflows the weights
-                for p, g, v in zip(params.fields(), grads.fields(), velocity.fields()):
-                    if config.momentum > 0:
-                        v *= config.momentum
-                        v += g
-                        g = v
+                for p, g in zip(params.fields(), grads.fields()):
                     p -= config.learning_rate * g
         curve.append(loss_sum / len(utts))
     return params, curve
@@ -296,10 +286,10 @@ def greedy_decode(
 
 def evaluate(
     params: ToyModelParams, eval_set: List[Utterance], max_symbols_per_frame: int = 4
-) -> float:
-    """Pooled WER over the eval set: total edits / total reference tokens."""
+) -> Dict:
+    """Pooled edit counts and rates over the eval set (``score_corpus``); WER is ``error_rate``."""
     hyps = [greedy_decode(params, feats, max_symbols_per_frame) for feats, _ in eval_set]
-    return score_corpus([toks for _, toks in eval_set], hyps)["error_rate"]
+    return score_corpus([toks for _, toks in eval_set], hyps)
 
 
 def run_experiment(config: ExperimentConfig) -> Dict:
@@ -310,14 +300,15 @@ def run_experiment(config: ExperimentConfig) -> Dict:
     """
     params, curve = train(config)
     train_set, eval_set = generate_task_data(config.task)
-    eval_wer = evaluate(params, eval_set, config.max_symbols_per_frame)
+    scores = evaluate(params, eval_set, config.max_symbols_per_frame)
     clean_train = [toks for _, toks in train_set]
     realized = measure_corruption(Vocab(config.task.vocab_size), clean_train, config.corruption)
     return {
         "config": config_to_dict(config),
         "criterion": config.criterion,
         "epochs": curve,
-        "eval_wer": eval_wer,
+        "eval_wer": scores["error_rate"],
+        **{f"eval_{kind}_rate": scores[f"{kind}_rate"] for kind in ("sub", "ins", "del")},
         "realized_error_rate": realized["error_rate"],
     }
 

@@ -173,9 +173,14 @@ class TestLoss:
         {"T": True, "U": 0, "V": 2, "data": [0.0, 0.0]},
         {"T": 1.5, "U": 0, "V": 2, "data": [0.0, 0.0]},
         {"T": "1", "U": 0, "V": 2, "data": [0.0, 0.0]},
+        {"T": 1, "U": 0, "V": 2, "data": ["0.5", "0"]},
+        {"T": 1, "U": 0, "V": 2, "data": [True, False]},
+        {"T": 1, "U": 0, "V": 2, "data": [[0.5], [0]]},
+        {"T": 1, "U": 0, "V": 2, "kind": "probs", "data": [0.0, 0.0]},
     ], ids=["list", "null T", "infinite T", "object data", "no T", "negative T and V",
             "non-finite logprobs", "non-finite logits", "unnormalised logprobs",
-            "bool T", "fractional T", "string T"])
+            "bool T", "fractional T", "string T", "string data", "bool data", "nested data",
+            "unknown kind"])
     def test_malformed_tensor_file(self, capsys, tmp_path, content):
         path = tmp_path / "t.json"
         path.write_text(json.dumps(content))
@@ -344,7 +349,7 @@ class TestTrainAndSweep:
         "criterion": "rnnt",
         "penalties": {"lambda1": 0.0, "lambda2": 0.0},
         "hidden": 8, "learning_rate": 0.1, "epochs": 2, "batch_size": 4,
-        "momentum": 0.0, "max_symbols_per_frame": 1,
+        "max_symbols_per_frame": 1,
     }
 
     def test_train_deterministic_byte_identical(self, capsys, tmp_path):
@@ -371,6 +376,8 @@ class TestTrainAndSweep:
         assert len(rows) == 4  # 2 rates x 2 criteria
         assert {(r["criterion"], r["rate"]) for r in rows} == {
             ("rnnt", 0.0), ("rnnt", 0.5), ("wst", 0.0), ("wst", 0.5)}
+        for r in rows:
+            assert abs(r["eval_sub_rate"] + r["eval_ins_rate"] + r["eval_del_rate"] - r["eval_wer"]) <= 1e-12
         before = out.read_bytes()
         code, _, err = run(capsys, "sweep", "--output", str(out), "--config", str(cfg),
                            "--rates", "0.0,0.5", "--kinds", "del", "--resume")
@@ -455,6 +462,38 @@ class TestTrainAndSweep:
         code, _, err = run(capsys, "train", "--config", str(tmp_path / "none.json"))
         assert code == 1
         assert "error:" in err
+
+
+class TestUnreadableInputFiles:
+    """Every input file that is not UTF-8 JSON is one error line naming it, for every role."""
+
+    FAULTS = {
+        "not_json": b"not json",
+        "not_utf8": b'{"id": 0, "tokens": [1]}\xff\n',
+        "too_deep": b"[" * 100_000,
+    }
+    ROLES = {
+        "loss_tensor": ["loss", "--criterion", "rnnt", "--tensor", "{bad}", "--tokens", ""],
+        "graph_tensor": ["graph", "--type", "rnnt", "--tokens", "", "--tensor", "{bad}"],
+        "corrupt_input": ["corrupt", "--input", "{bad}", "--vocab-size", "3", "--kind", "sub", "--rate", "0.5"],
+        "score_ref": ["score", "--ref", "{bad}", "--hyp", "{ok}"],
+        "score_hyp": ["score", "--ref", "{ok}", "--hyp", "{bad}"],
+        "train_config": ["train", "--config", "{bad}"],
+        "sweep_config": ["sweep", "--config", "{bad}", "--output", "{out}"],
+        "sweep_resume": ["sweep", "--output", "{bad}", "--resume", "--kinds", "sub", "--rates", "0.0"],
+    }
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    @pytest.mark.parametrize("role", ROLES)
+    def test_file_is_named(self, capsys, tmp_path, role, fault):
+        paths = {"bad": tmp_path / "bad.json", "ok": tmp_path / "ok.jsonl", "out": tmp_path / "out.jsonl"}
+        paths["bad"].write_bytes(self.FAULTS[fault])
+        write_jsonl(paths["ok"], [{"id": 0, "tokens": [1]}])
+        code, out, err = run(capsys, *(arg.format(**paths) for arg in self.ROLES[role]))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {paths['bad']}") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert paths["bad"].read_bytes() == self.FAULTS[fault] and not paths["out"].exists()
 
 
 class TestUsageErrors:

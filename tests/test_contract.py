@@ -2,10 +2,10 @@
 
 Each call on arbitrary input returns a NaN-free result or raises a typed
 error: ``WstError``, or ``ValueError`` where the CLI maps it to exit 1.
-``cli.main`` returns 0 or 1 on arbitrary JSON file contents and never
-raises. The loss kernel, the oracle and the lattice builder check one grid
-contract, so on finite logits they fail alike or succeed alike. Settings are
-fixed here (derandomized, no example database) so that Tier-1 stays
+``cli.main`` returns 0 or 1 on arbitrary JSON or raw file contents and
+never raises. The loss kernel, the oracle and the lattice builder check one
+grid contract, so on finite logits they fail alike or succeed alike. Settings
+are fixed here (derandomized, no example database) so that Tier-1 stays
 deterministic and its added time bounded.
 """
 
@@ -122,16 +122,22 @@ def tensor_files(draw):
     return {"T": t, "U": u, "V": v, "data": data, "kind": draw(st.sampled_from(["logits", "logprobs"]))}
 
 
+# raw file bytes, none of them a JSON object: text, broken UTF-8 and nesting too deep to parse
+raw_files = (st.binary(max_size=8) | st.text(max_size=8).map(str.encode)).filter(lambda b: b"{" not in b) | \
+    st.sampled_from([b'{"T": 1', b"\xff\xfe[]", b"[" * 100_000, b'{"id": 0, "tokens": [1]}\n\x80\n'])
+
+
 @SLOW_CONTRACT
-@given(tensor=tensor_files() | json_values | st.fixed_dictionaries(
+@given(tensor=tensor_files() | json_values | raw_files | st.fixed_dictionaries(
            {"T": json_values, "U": json_values, "V": json_values, "data": json_values, "kind": json_values}),
-       rows=st.lists(json_values | st.fixed_dictionaries({"id": json_values, "tokens": json_values}) |
-                     st.fixed_dictionaries({"id": st.integers(0, 1), "tokens": int_tokens}), max_size=3),
+       rows=raw_files | st.lists(json_values | st.fixed_dictionaries({"id": json_values, "tokens": json_values}) |
+                                 st.fixed_dictionaries({"id": st.integers(0, 1), "tokens": int_tokens}), max_size=3),
        criterion=st.sampled_from(["rnnt", "wst"]))
 def test_cli_never_raises(tmp_path_factory, tensor, rows, criterion):
     tmp = tmp_path_factory.mktemp("cli")
-    (tmp / "t.json").write_text(json.dumps(tensor))
-    (tmp / "rows.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rows))
+    (tmp / "t.json").write_bytes(tensor if isinstance(tensor, bytes) else json.dumps(tensor).encode())
+    (tmp / "rows.jsonl").write_bytes(rows if isinstance(rows, bytes) else
+                                     "".join(json.dumps(r) + "\n" for r in rows).encode())
     (tmp / "ref.jsonl").write_text('{"id": 0, "tokens": [1, 2]}\n')
     argvs = [
         ["loss", "--criterion", criterion, "--tensor", str(tmp / "t.json"), "--tokens", "1", "--grad"],

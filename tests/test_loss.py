@@ -294,6 +294,22 @@ class TestOverflowingLogits:
         with pytest.raises(NoPath, match=f"arc occupancies of item {item} overflowed"):
             entry(z, [1, 2])
 
+    def test_frame_before_last_masked_under_huge_penalty(self):
+        """The arcs out of frame T-1 that miss (T, U) are masked, not only unreachable.
+
+        Left in under lambda2 = 1.7e308, alpha + arc overflows to +inf on them with
+        a RuntimeWarning, and their occupancy inf - inf = NaN makes this finite
+        loss raise NoPath.
+        """
+        z = np.asarray([[[39.0, 0.1, -0.3, -0.2, 0.0, -0.7], [38.3, -0.2, -1.0, 1.5, -0.2, 1.6],
+                         [40.3, 1.1, -0.2, -0.9, 0.6, 1.2], [39.3, 0.5, -0.7, 0.0, -1.9, 1.3]],
+                        [[40.5, 1.0, 0.1, -1.2, 1.2, -2.1], [40.7, 0.7, 0.0, 0.7, 2.4, 0.5],
+                         [38.1, 0.7, 1.6, 0.7, -0.3, -0.4], [40.0, -0.7, 0.2, 0.6, -0.7, 0.3]]])
+        with pytest.warns(UserWarning, match="positive"):
+            penalties = PenaltyConfig(-math.inf, 1.7e308)
+        losses, grads = batched_grid_loss(z[None], [[3, 4, 5]], "wst", penalties)
+        assert losses[0] == -1.7e308 and np.isfinite(grads).all()
+
     def test_lost_path_count_is_no_path(self):
         # the overflowing entry is a token no arc reads, but the token arc's
         # log-probability is -1e308: the two paths' log-sum loses its ln 2,

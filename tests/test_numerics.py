@@ -138,3 +138,9 @@ def test_scalar_input_gives_python_float(b):
         assert type(log1mexp(x)) is float
         assert type(star_log_prob(x, 4)) is float
         assert_close_or_neg_inf(log1mexp(x), math_log1mexp(b))
+
+
+@pytest.mark.parametrize("v_size", [1, 0])
+def test_star_log_prob_needs_two_symbols(v_size):
+    with pytest.raises(ValueError, match="vocab_size must be at least 2"):
+        star_log_prob(-1.0, v_size)

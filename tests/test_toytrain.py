@@ -102,7 +102,6 @@ class TestTaskData:
         ("epochs", lambda: ExperimentConfig(epochs=True)),
         ("batch_size", lambda: ExperimentConfig(batch_size=np.True_)),
         ("learning_rate", lambda: ExperimentConfig(learning_rate="x")),
-        ("momentum", lambda: ExperimentConfig(momentum=None)),
         ("criterion", lambda: ExperimentConfig(criterion=1)),
         ("task", lambda: ExperimentConfig(task={"vocab_size": 5})),
         ("penalties", lambda: ExperimentConfig(penalties=None)),
@@ -119,17 +118,17 @@ class TestTaskData:
             make()
 
     def test_integers_accepted_in_any_integer_type(self):
-        task = ToyTask(vocab_size=np.int64(5), seed=np.int32(3))
+        task = ToyTask(vocab_size=np.int64(5), seed=np.int32(3), feature_noise=np.float32(0.5))
         assert task.feature_dim == 4
-        assert ExperimentConfig(learning_rate=1, momentum=np.float32(0.5)).learning_rate == 1
+        assert ExperimentConfig(learning_rate=1).learning_rate == 1
         assert Vocab(np.int64(5)).star_id == 5
         assert CorruptionSpec("sub", np.float32(0.5), np.int32(3)).seed == 3
         assert PenaltyConfig(-1, np.float64(-0.5)).lambda1 == -1
         # numpy scalars are stored as Python scalars, so configs and graphs serialize
-        config = ExperimentConfig(task=task, learning_rate=np.int64(1), momentum=np.float32(0.5),
+        config = ExperimentConfig(task=task, learning_rate=np.int64(1),
                                   corruption=CorruptionSpec("sub", np.float32(0.5), np.int32(3)),
                                   penalties=PenaltyConfig(-1, np.float64(-0.5)))
-        assert [type(v) for v in (task.vocab_size, task.seed, config.learning_rate, config.momentum,
+        assert [type(v) for v in (task.vocab_size, task.seed, config.learning_rate, task.feature_noise,
                                   config.corruption.rate, config.corruption.seed,
                                   config.penalties.lambda1, config.penalties.lambda2)] == [
             int, int, int, float, float, int, int, float]
@@ -188,7 +187,7 @@ class TestForward:
         rng = np.random.default_rng(4)
         xs = rng.standard_normal((4, 5, SMALL_TASK.feature_dim))
         ys = rng.integers(1, SMALL_TASK.vocab_size, size=(4, 3))
-        logits, _, _ = _forward_batch(params, xs, ys)
+        logits, _, _ = _forward_batch(params, xs, ys, {})
         for x, y, z in zip(xs, ys, logits):
             assert np.abs(z - forward(params, x, y)).max() <= 1e-12
 
@@ -203,9 +202,9 @@ class TestForward:
         def loss_of(p):
             return sum(rnnt_loss(forward(p, x, y), y)[0] for x, y in zip(xs, ys))
 
-        logits, h, ctx = _forward_batch(params, xs, ys)
+        logits, h, ctx = _forward_batch(params, xs, ys, {})
         _, dlogits = batched_grid_loss(logits, ys)
-        grads = _backward_batch(params, xs, ctx, h, dlogits)
+        grads = _backward_batch(params, xs, ctx, h, dlogits, {})
         h_step = 1e-6
         for arr, g_arr in zip(params.fields(), grads.fields()):
             flat = arr.reshape(-1)
@@ -222,19 +221,19 @@ class TestForward:
                 assert abs(fd - ana) / denom <= 1e-4
 
     def test_pooled_buffers_match_fresh_allocation(self):
-        """The train-owned buffers over grow, shrink and grow again give the fresh arrays' bits."""
+        """The train-owned buffers over grow, shrink and grow again give an empty pool's bits."""
         params = init_params(SMALL_TASK, 8, 5)
         rng = np.random.default_rng(6)
         pool = {}
         for b_sz, t_len, u_len in ((2, 3, 2), (4, 6, 3), (1, 2, 1), (3, 4, 0), (5, 7, 4)):
             xs = rng.standard_normal((b_sz, t_len, SMALL_TASK.feature_dim))
             ys = rng.integers(1, SMALL_TASK.vocab_size, size=(b_sz, u_len))
-            logits, h, ctx = _forward_batch(params, xs, ys)
+            logits, h, ctx = _forward_batch(params, xs, ys, {})
             p_logits, p_h, p_ctx = _forward_batch(params, xs, ys, pool)
             assert np.shares_memory(p_h, pool["h"])
             assert np.array_equal(p_logits, logits) and np.array_equal(p_h, h)
             _, dlogits = batched_grid_loss(logits, ys)
-            grads = _backward_batch(params, xs, ctx, h, dlogits)
+            grads = _backward_batch(params, xs, ctx, h, dlogits, {})
             p_grads = _backward_batch(params, xs, p_ctx, p_h, dlogits, pool)
             for a, b in zip(grads.fields(), p_grads.fields()):
                 assert np.array_equal(a, b)
@@ -364,14 +363,14 @@ class TestEvaluate:
         _, eval_set = generate_task_data(SMALL_TASK)
         hyps = [(f, greedy_decode(params, f)) for f, _ in eval_set]
         scored = [(f, h) for (f, _), (_, h) in zip(eval_set, hyps)]
-        assert evaluate(params, scored) == 0.0
+        assert evaluate(params, scored)["error_rate"] == 0.0
 
     def test_trained_beats_untrained(self):
         cfg = small_config(epochs=8, task=dataclasses.replace(SMALL_TASK, train_size=60))
         trained, _ = train(cfg)
         init = init_params(cfg.task, cfg.hidden, cfg.task.seed)
         _, eval_set = generate_task_data(cfg.task)
-        assert evaluate(trained, eval_set, 1) < evaluate(init, eval_set, 1)
+        assert evaluate(trained, eval_set, 1)["error_rate"] < evaluate(init, eval_set, 1)["error_rate"]
 
 
 class TestRunExperiment:
@@ -384,6 +383,13 @@ class TestRunExperiment:
         assert len(r1["epochs"]) == cfg.epochs
         assert r1["eval_wer"] >= 0.0
         assert r1["realized_error_rate"] == 0.0  # default corruption rate 0
+
+    def test_eval_errors_by_kind_sum_to_wer(self):
+        r = run_experiment(small_config(criterion="wst", corruption=CorruptionSpec("mixed", 0.5, 2)))
+        assert sorted(r) == ["config", "criterion", "epochs", "eval_del_rate", "eval_ins_rate",
+                             "eval_sub_rate", "eval_wer", "realized_error_rate"]
+        assert r["eval_wer"] > 0.0
+        assert abs(r["eval_sub_rate"] + r["eval_ins_rate"] + r["eval_del_rate"] - r["eval_wer"]) <= 1e-12
 
     def test_larger_run_between_leaves_report_unchanged(self):
         """Training keeps no state between calls: a larger task in between changes no byte."""
@@ -407,6 +413,10 @@ class TestConfigRoundTrip:
                                corruption=CorruptionSpec("ins", 0.3, 9))
             d = json.loads(json.dumps(config_to_dict(cfg)))
             assert config_from_dict(d) == cfg
+
+    def test_momentum_is_an_unknown_key(self):
+        with pytest.raises(ValueError, match="^unknown key 'momentum' in config$"):
+            config_from_dict({"momentum": 0.0})
 
     def test_defaults_round_trip(self):
         cfg = ExperimentConfig()

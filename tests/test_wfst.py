@@ -214,3 +214,8 @@ class TestInvariants:
     def test_state_ids_in_range(self):
         with pytest.raises(ValueError):
             Wfst(2, 0, 1, [Arc(0, 5, EPSILON, EPSILON, 0.0)])
+
+    @pytest.mark.parametrize("start, final, named", [(2, 1, "start"), (-1, 1, "start"), (0, 2, "final")])
+    def test_start_and_final_in_range(self, start, final, named):
+        with pytest.raises(ValueError, match=f"{named} state .* out of range"):
+            Wfst(2, start, final)
