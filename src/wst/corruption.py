@@ -34,6 +34,8 @@ class CorruptionSpec:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
         if not 0.0 <= self.rate <= 1.0:
             raise ValueError(f"rate must be in [0, 1], got {self.rate}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def _random_token(rng: np.random.Generator, vocab: Vocab) -> int:

@@ -36,21 +36,19 @@ the star chain rule — the star weight depends on the row only through the
 blank log-probability, with d(star)/d(logp_blank) = -p_blank / (1 - p_blank).
 Each row of the log-probability sensitivity has at most two nonzero entries,
 blank and the row's target, so the kernel returns it as two planes,
-``d_blank`` [B, T, U+1] and ``d_tok`` [B, T, U]. The logit gradient is then
-softmax * (d_blank + d_tok) minus the two planes in their own columns; no
-dense sensitivity tensor is built. Target entries are read and written
-through one flat index into the C-contiguous log-probabilities. The raw
-log-probability gradient, ``grad_wrt="logprobs"``, is the same subtraction of
-the two planes from a -0.0 fill in place of the softmax term.
+``d_blank`` [B, T, U+1] and ``d_tok`` [B, T, U]; no dense sensitivity tensor
+is built. The raw log-probability gradient, ``grad_wrt="logprobs"``, is the
+two planes subtracted in their own columns from a -0.0 fill.
 
-The dense [B, T, U+1, V] passes, log-softmax and the logit gradient, take one
-cache-sized block of whole rows through all their steps at a time, so each
-reads and writes main memory once. Every step is elementwise or reduces along
-the last axis, so the result is bit-identical to whole-array steps. The
-finiteness check lives in that loop too: log-softmax rejects a block with a
-NaN or infinite entry before it takes the row maxima, and every loss and the
-oracle reach that one check, after the grid contract. Both gradients
-overwrite the log-probabilities, the one dense array a call allocates.
+A call takes one exp per logit, in one pass over cache-sized blocks of whole
+rows: it rejects a block with a NaN or infinite entry, takes each row's
+maximum m, writes e = exp(z - m) into the one dense [B, T, U+1, V] array a
+call allocates, and keeps the row sums S. Every loss and the oracle reach
+that finiteness check, after the grid contract. The recurrence reads only
+the blank and target planes (the "function merging" of Li et al., ASRU
+2019), each entry formed as (z - m) - log S, as log-softmax forms it, so the
+losses are a dense log-softmax's to the bit. The logit gradient is e scaled
+in place by (d_blank + d_tok) / S, minus the two planes in their columns.
 """
 
 from typing import Optional, Sequence, Tuple
@@ -67,34 +65,42 @@ _BLOCK_BYTES = 256 * 1024  # a row block of the dense passes; 64 KB-1 MB ran ali
 
 
 def _row_blocks(*arrays):
-    """[rows, width] views of C-contiguous arrays with one leading shape, _BLOCK_BYTES of the first at a time.
-
-    There is always a block, so that rows of length 0 reach numpy's reductions and raise.
-    """
-    views = [a.reshape(a.size // max(1, a.shape[-1]), a.shape[-1]) for a in arrays]
-    step = max(1, _BLOCK_BYTES // max(1, views[0][:1].nbytes))
-    for i in range(0, max(1, len(views[0])), step):
+    """[rows, width] views of C-contiguous arrays with one leading shape, _BLOCK_BYTES of the first at a time."""
+    views = [a.reshape(-1, a.shape[-1]) for a in arrays]
+    step = max(1, _BLOCK_BYTES // (views[0].shape[1] * views[0].itemsize))
+    for i in range(0, len(views[0]), step):
         yield tuple(v[i:i + step] for v in views)
+
+
+def _exp_rows(logits) -> Tuple[np.ndarray, ...]:
+    """(z, e, m, sums): C-contiguous logits z, row maxima m, e = exp(z - m) and row sums of e (keepdims)."""
+    z = np.ascontiguousarray(logits, dtype=float)
+    e = np.empty_like(z)
+    m, sums = np.empty((2, *z.shape[:-1], 1))
+    with np.errstate(over="ignore"):  # only z - m can overflow
+        for zb, eb, mb, sb in _row_blocks(z, e, m, sums):  # row-wise steps, so blocks keep the bits
+            if not np.isfinite(zb).all():
+                raise ShapeMismatch("logits must be finite")
+            zb.max(axis=-1, keepdims=True, out=mb)
+            np.subtract(zb, mb, out=eb)
+            np.exp(eb, out=eb)
+            eb.sum(axis=-1, keepdims=True, out=sb)
+    return z, e, m, sums
 
 
 def log_softmax(logits) -> np.ndarray:
     """Numerically stable log-softmax over the last axis, as a C-contiguous array.
 
     An entry more than about 1.8e308 below its row's maximum overflows to
-    -inf, the log of a probability that is 0 in floating point. A 0-d input,
-    or any entry that is NaN, +inf or -inf, raises ShapeMismatch.
+    -inf, the log of a probability that is 0 in floating point. A 0-d input, an
+    empty last axis, or any entry that is NaN, +inf or -inf, raises ShapeMismatch.
     """
-    if np.ndim(logits) == 0:
-        raise ShapeMismatch("log-softmax needs an axis to normalise over")
-    z = np.ascontiguousarray(logits, dtype=float)
-    out = np.empty_like(z)
-    with np.errstate(over="ignore"):  # only z - m can overflow
-        for zb, shifted in _row_blocks(z, out):
-            if not np.isfinite(zb).all():
-                raise ShapeMismatch("logits must be finite")
-            m = zb.max(axis=-1, keepdims=True)
-            np.subtract(zb, m, out=shifted)
-            shifted -= np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    if np.ndim(logits) == 0 or np.shape(logits)[-1] == 0:
+        raise ShapeMismatch("log-softmax needs a nonempty axis to normalise over")
+    z, out, m, sums = _exp_rows(logits)
+    with np.errstate(over="ignore"):
+        np.subtract(z, m, out=out)
+    out -= np.log(sums)
     return out
 
 
@@ -164,29 +170,17 @@ def _plain_share(gamma: np.ndarray, plain: np.ndarray, arc: np.ndarray) -> np.nd
     return np.where(gamma > 0.0, gamma * np.exp(plain - arc), 0.0)
 
 
-def _grid_loss_grad(
-    lp: np.ndarray,
-    ys: np.ndarray,
-    penalties: Optional[PenaltyConfig],
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _grid_loss_grad(blank: np.ndarray, tok: np.ndarray, v_size: int,
+                    penalties: Optional[PenaltyConfig]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Forward-backward over the (t, u) grid for a batch of equal-shape items.
 
-    lp: [B, T, U+1, V] C-contiguous log-probabilities; ys: [B, U] token ids,
-    none of them 0. With ``penalties`` None the grid has no bypass arcs and no
-    star weight is computed; otherwise each arc weight is the log-sum of the
-    arc and its bypass twin.
-    Returns (log total weight [B], d_blank [B, T, U+1], d_tok [B, T, U],
-    flat [B, T, U]): the sensitivity d(log total)/d(lp) is d_blank in the
-    blank column, d_tok at the target entries ``lp.reshape(-1)[flat]``, and
-    zero elsewhere.
+    blank [B, T, U+1] and tok [B, T, U] are the log-probabilities of blank and
+    of each row's target, over ``v_size`` symbols. With ``penalties`` None the
+    grid has no bypass arcs; otherwise each arc weight is the log-sum of the
+    arc and its bypass twin. Returns (log total weight [B], d_blank, d_tok):
+    d(log total)/d(blank) and d(log total)/d(tok).
     """
-    b_sz, t_len, cols, v_size = lp.shape
-    u_len = cols - 1
-    blank = lp[..., 0]  # [B, T, U+1]
-    rows = np.arange(b_sz * t_len * cols).reshape(b_sz, t_len, cols)[:, :, :u_len]
-    flat = rows * v_size + ys[:, None, :]
-    tok = lp.reshape(-1)[flat]
-
+    t_len, u_len = tok.shape[1:]
     if penalties is None:
         vert, horiz = tok, blank.copy()
     else:
@@ -208,7 +202,7 @@ def _grid_loss_grad(
         gamma_horiz = _occupancy(alpha[:, :t_len], horiz, beta[:, 1:], total)
         _check_conservation(gamma_vert, gamma_horiz)
         if penalties is None:
-            return total, gamma_horiz, gamma_vert, flat
+            return total, gamma_horiz, gamma_vert
 
         gamma_tok = _plain_share(gamma_vert, tok, vert)
         gamma_blank = _plain_share(gamma_horiz, blank, horiz)
@@ -218,30 +212,29 @@ def _grid_loss_grad(
         # -inf, so gamma_star is exactly 0 and the mask drops the infinite factor.
         factor = np.exp(blank) / np.expm1(blank)
         d_blank = gamma_blank + np.where(gamma_star > 0.0, gamma_star * factor, 0.0)
-    return total, d_blank, gamma_tok, flat
+    return total, d_blank, gamma_tok
 
 
-def _write_grad(lp: np.ndarray, d_blank: np.ndarray, d_tok: np.ndarray, flat: np.ndarray,
-                wrt_logits: bool) -> np.ndarray:
-    """-d(log total)/d(logits), or /d(lp) if not ``wrt_logits``, written over ``lp``.
+def _write_grad(e: np.ndarray, sums: np.ndarray, d_blank: np.ndarray, d_tok: np.ndarray,
+                flat: np.ndarray, wrt_logits: bool) -> np.ndarray:
+    """-d(log total)/d(logits), or /d(lp) if not ``wrt_logits``, written over e = exp(z - m).
 
     A row of the dense sensitivity dlp has only the blank and target nonzeros,
-    so -(dlp - softmax * dlp.sum(-1)) is softmax * (d_blank + d_tok) minus the
-    two planes in their columns (-(a - b) == b - a, up to the sign of 0). The
-    log-probability gradient starts from -0.0, and -0.0 - x == -x, so it is
-    -0.0 off every arc. Target entries are distinct and never in column 0.
+    so -(dlp - softmax * dlp.sum(-1)) is e * ((d_blank + d_tok) / sums) minus
+    the two planes in their columns (-(a - b) == b - a, up to the sign of 0).
+    The log-probability gradient starts from -0.0, and -0.0 - x == -x, so it
+    is -0.0 off every arc. The targets ``e.reshape(-1)[flat]`` are distinct and never in column 0.
     """
     if wrt_logits:
-        s = d_blank.copy()
-        s[:, :, :d_tok.shape[2]] += d_tok
-        for g, s_rows in _row_blocks(lp, s[..., None]):
-            np.exp(g, out=g)
-            g *= s_rows
+        scale = d_blank.copy()
+        scale[:, :, :d_tok.shape[2]] += d_tok
+        scale /= sums[..., 0]
+        e *= scale[..., None]
     else:
-        lp.fill(-0.0)
-    lp[..., 0] -= d_blank
-    lp.reshape(-1)[flat] -= d_tok
-    return lp
+        e.fill(-0.0)
+    e[..., 0] -= d_blank
+    e.reshape(-1)[flat] -= d_tok
+    return e
 
 
 def _single_loss(logits, tokens, criterion, penalties, grad_wrt) -> Tuple[float, np.ndarray]:
@@ -288,11 +281,10 @@ def batched_grid_loss(
     the corresponding single calls (the recurrence is elementwise over the
     batch axis). Input that breaks the grid contract, ``graphs._check_grid``,
     raises its ShapeMismatch or VocabError, and then non-finite logits raise
-    log-softmax's ShapeMismatch. An item whose arc occupancies do not sum to
-    1 over each frame and each position raises NoPath: no path, a lost path
-    count or an overflow. Otherwise the loss and gradient are finite.
-    ``penalties`` are ignored for ``"rnnt"``; for ``"wst"``, None means
-    ``PenaltyConfig()``.
+    ShapeMismatch. An item whose arc occupancies do not sum to 1 over each
+    frame and each position raises NoPath: no path, a lost path count or an
+    overflow. Otherwise the loss and gradient are finite. ``penalties`` are
+    ignored for ``"rnnt"``; for ``"wst"``, None means ``PenaltyConfig()``.
     """
     z = np.asarray(logits, dtype=float)
     if z.ndim != 4:
@@ -301,7 +293,13 @@ def batched_grid_loss(
     if grad_wrt not in ("logits", "logprobs"):
         raise ValueError(f"grad_wrt must be 'logits' or 'logprobs', got {grad_wrt!r}")
     ys = _check_grid(z, ys)
-    lp = log_softmax(z)
-    total, d_blank, d_tok, flat = _grid_loss_grad(lp, ys, pen)
-    return -total, _write_grad(lp, d_blank, d_tok, flat, grad_wrt == "logits")
+    z, e, m, sums = _exp_rows(z)
+    v_size = z.shape[-1]
+    flat = np.arange(0, z.size, v_size).reshape(z.shape[:-1])[:, :, :-1] + ys[:, None, :]  # target entries
+    m, log_sums = m[..., 0], np.log(sums[..., 0])
+    with np.errstate(over="ignore"):  # the two planes' entries are formed as log_softmax forms them
+        blank = z[..., 0] - m - log_sums
+        tok = z.reshape(-1)[flat] - m[:, :, :-1] - log_sums[:, :, :-1]
+    total, d_blank, d_tok = _grid_loss_grad(blank, tok, v_size, pen)
+    return -total, _write_grad(e, sums, d_blank, d_tok, flat, grad_wrt == "logits")
 

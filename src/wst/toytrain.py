@@ -46,13 +46,12 @@ class ToyTask:
 
     def __post_init__(self):
         check_field_types(self)
-        for name, low in (("vocab_size", 2), ("min_len", 1), ("train_size", 1), ("frames_per_token", 1)):
-            if getattr(self, name) < low:
-                raise ValueError(f"{name} must be >= {low}")
+        for name, low in (("vocab_size", 2), ("min_len", 1), ("train_size", 1), ("frames_per_token", 1),
+                          ("eval_size", 0), ("seed", 0), ("feature_noise", 0)):
+            if not low <= getattr(self, name) < math.inf:  # NaN fails too
+                raise ValueError(f"{name} must be finite and >= {low}")
         if self.max_len < self.min_len:
             raise ValueError(f"max_len {self.max_len} is below min_len {self.min_len}")
-        if self.feature_noise < 0:
-            raise ValueError("feature_noise must be >= 0")
 
     @property
     def feature_dim(self) -> int:
@@ -83,8 +82,8 @@ class ExperimentConfig:
         for name in ("epochs", "hidden", "batch_size", "max_symbols_per_frame"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning rate must be > 0")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be finite and > 0")
         penalties_for(self.criterion, self.penalties)  # rejects an unknown criterion
 
 
@@ -321,11 +320,12 @@ def _from_dict(cls, d, where: str):
     """``cls`` from JSON object ``d``, unknown keys rejected; dataclass fields recurse."""
     if not isinstance(d, dict):
         raise ValueError(f"{where} must be a JSON object, got {type(d).__name__}")
-    types = {f.name: f.type for f in dataclasses.fields(cls)}
-    unknown = sorted(set(d) - set(types))
-    if unknown:
-        raise ValueError(f"unknown key {unknown[0]!r} in {where}")
-    return cls(**{k: _from_dict(types[k], v, k) if dataclasses.is_dataclass(types[k]) else v
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = sorted(set(d) - set(fields))
+    missing = [k for k, f in fields.items() if k not in d and f.default is f.default_factory is dataclasses.MISSING]
+    if unknown or missing:
+        raise ValueError(f"unknown key {unknown[0]!r} in {where}" if unknown else f"{where} needs key {missing[0]!r}")
+    return cls(**{k: _from_dict(fields[k].type, v, k) if dataclasses.is_dataclass(fields[k].type) else v
                   for k, v in d.items()})
 
 

@@ -9,6 +9,8 @@ are fixed here (derandomized, no example database) so that Tier-1 stays
 deterministic and its added time bounded.
 """
 
+import contextlib
+import io
 import json
 import math
 import re
@@ -150,6 +152,61 @@ def test_cli_never_raises(tmp_path_factory, tensor, rows, criterion):
         argvs.append(["train", "--config", str(tmp / "t.json")])
     for argv in argvs:  # all well-formed, so argparse never exits
         assert cli.main(argv + ["--output", str(tmp / "out")]) in (0, 1), argv
+
+
+# config objects that each fail validation; the first six passed it once and then failed in training or
+# seeding, and the last raised a TypeError
+BAD_CONFIGS = [{"learning_rate": math.nan}, {"learning_rate": math.inf}, {"task": {"feature_noise": math.nan}},
+               {"task": {"eval_size": -3}}, {"task": {"seed": -1}},
+               {"corruption": {"kind": "sub", "rate": 0.5, "seed": -1}}, {"learning_rate": 0}, {"epochs": 0},
+               {"momentum": 0.9}, {"criterion": "ctc"}, {"task": [1]}, {"penalties": {"lambda1": "a", "lambda2": 0}},
+               {"corruption": {"kind": "sub"}}]
+CONFIG_KEYS = ["task", "corruption", "criterion", "penalties", "hidden", "learning_rate", "epochs", "batch_size",
+               "max_symbols_per_frame"]
+DONE_ROWS = "".join(json.dumps({"criterion": c, "kind": "sub", "rate": 0.0}) + "\n" for c in ("rnnt", "wst"))
+
+
+def _run_cli(argv):
+    """(exit status, standard error) of ``cli.main``; argparse's exit is a status too."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            status = cli.main(argv)
+        except SystemExit as exc:
+            status = exc.code
+    return status, err.getvalue()
+
+
+@SLOW_CONTRACT
+@given(config=st.builds(lambda extra, bad: {**extra, **bad},
+                        st.dictionaries(st.sampled_from(CONFIG_KEYS), json_values, max_size=2),
+                        st.sampled_from(BAD_CONFIGS)),
+       resume=raw_files | st.lists(json_values | st.fixed_dictionaries(
+           {"criterion": json_values, "kind": json_values, "rate": json_values}), max_size=3),
+       rates=st.sampled_from(["0", "0,0", "x", "nan", "-1"]))
+def test_cli_rejects_bad_configs_and_resume_files(tmp_path_factory, config, resume, rates):
+    """Exit 1 with one ``error:`` line, or 2 from argparse, and never a traceback.
+
+    The resume file always holds the one cell of the grid, so a sweep that
+    gets past its checks exits 0 without training.
+    """
+    tmp = tmp_path_factory.mktemp("cli")
+    (tmp / "config.json").write_text(json.dumps(config))
+    (tmp / "done.jsonl").write_bytes(DONE_ROWS.encode() + (resume if isinstance(resume, bytes) else
+                                                           "".join(json.dumps(r) + "\n" for r in resume).encode()))
+    grid = ["--rates", rates, "--kinds", "sub"]
+    runs = [
+        (["train", "--config", str(tmp / "config.json")], (1,)),
+        (["sweep", "--config", str(tmp / "config.json"), "--output", str(tmp / "out.jsonl"), *grid], (1,)),
+        (["sweep", "--resume", "--output", str(tmp / "done.jsonl"), *grid], (0, 1)),
+        (["sweep", "--resume", *grid], (2,)),
+    ]
+    for argv, statuses in runs:
+        status, err = _run_cli(argv)
+        assert status in statuses and "Traceback" not in err, (argv, status, err)
+        if status == 1:
+            lines = err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), (argv, err)
 
 
 def _assert_agree(z, toks):

@@ -57,7 +57,7 @@ class TestLogSoftmax:
 
     @pytest.mark.parametrize("shape", [(3, 0), (0,), (2, 0, 0)])
     def test_empty_rows_rejected(self, shape):
-        with pytest.raises(ValueError, match="zero-size array to reduction operation maximum"):
+        with pytest.raises(ShapeMismatch, match="nonempty axis"):
             log_softmax(np.zeros(shape))
 
     @pytest.mark.parametrize("z", [2.5, np.inf, [np.nan, 1.0], [np.inf, 1.0], [-np.inf, -np.inf]],
@@ -442,10 +442,18 @@ def reference_grid_loss(logits, ys, use_star, lambda1, lambda2, grad_wrt):
             dlp[..., 0] += np.where(gamma_star > 0.0, gamma_star * factor, 0.0)
 
     if grad_wrt == "logits":
-        grad = -(dlp - np.exp(lp) * dlp.sum(axis=-1, keepdims=True))
+        e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        softmax_term = e * (dlp.sum(axis=-1, keepdims=True) / e.sum(axis=-1, keepdims=True))
+        grad = -(dlp - softmax_term)
     else:
         grad = -dlp
     return total, -total, grad
+
+
+def grid_planes(lp, ys):
+    """The blank [B, T, U+1] and target [B, T, U] planes of log-probabilities ``lp``, and the targets' flat index."""
+    flat = np.arange(0, lp.size, lp.shape[-1]).reshape(lp.shape[:-1])[:, :, :-1] + ys[:, None, :]
+    return lp[..., 0], lp.reshape(-1)[flat], flat
 
 
 PENALTIES = [(NEG_INF, NEG_INF), (0.0, 0.0), (LN_HALF, NEG_INF), (LN_HALF, LN_HALF)]
@@ -480,7 +488,8 @@ class TestWavefrontKernel:
         ys = rng.integers(1, v_size, size=(b_sz, u_len))
         pen = PenaltyConfig(*lams)
         for criterion, use_star in (("rnnt", False), ("wst", True)):
-            total, *_ = _grid_loss_grad(log_softmax(z), ys, penalties_for(criterion, pen))
+            blank, tok, _ = grid_planes(log_softmax(z), ys)
+            total, *_ = _grid_loss_grad(blank, tok, v_size, penalties_for(criterion, pen))
             for grad_wrt in ("logits", "logprobs"):
                 ref_total, ref_loss, ref_grad = reference_grid_loss(z, ys, use_star, *lams, grad_wrt)
                 assert np.array_equal(total, ref_total)
@@ -532,11 +541,12 @@ class TestBlockedDensePasses:
         rng = np.random.default_rng(21)
         lp = log_softmax(rng.standard_normal((2, 3, 4, 6)))
         ys = rng.integers(1, 6, size=(2, 3))
-        _, d_blank, d_tok, flat = _grid_loss_grad(lp, ys, penalties_for(criterion))
+        blank, tok, flat = grid_planes(lp, ys)
+        _, d_blank, d_tok = _grid_loss_grad(blank, tok, 6, penalties_for(criterion))
         dlp = np.zeros_like(lp)
         dlp[..., 0] = d_blank
         dlp.reshape(-1)[flat] = d_tok
-        got = _write_grad(lp.copy(), d_blank, d_tok, flat, False)
+        got = _write_grad(np.exp(lp), None, d_blank, d_tok, flat, False)
         assert np.array_equal(got, -dlp)
         assert np.array_equal(np.signbit(got), np.signbit(-dlp))
 
@@ -553,6 +563,88 @@ class TestBlockedDensePasses:
         finally:
             tracemalloc.stop()
         assert peak <= 1.25 * z.nbytes
+
+
+GRID_CASES = dict(
+    seed=st.integers(0, 2**32 - 1),
+    b_sz=st.integers(1, 3),
+    t_len=st.integers(1, 5),
+    u_len=st.integers(0, 4),
+    v_size=st.integers(2, 12),
+    scale=st.sampled_from([1.0, 60.0, 1e3]),
+    blank_boost=st.booleans(),
+    lams=st.sampled_from([(LN_HALF, LN_HALF), (0.0, 0.0), (NEG_INF, NEG_INF)]),
+)
+
+
+def grid_case(seed, b_sz, t_len, u_len, v_size, scale, blank_boost):
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((b_sz, t_len, u_len + 1, v_size)) * scale
+    if blank_boost:
+        z[..., 0] += 60.0 * (rng.random((b_sz, t_len, u_len + 1)) < 0.5)
+    return z, rng.integers(1, v_size, size=(b_sz, u_len))
+
+
+class TestScaledExpGradient:
+    """The logit gradient scales exp(z - max) by (d_blank + d_tok) / its row sum.
+
+    That moves the last bits of the logit gradient only: the losses, the
+    log-probability gradient and the lambda = -inf reduction keep theirs.
+    """
+
+    @given(**GRID_CASES)
+    @settings(max_examples=100, deadline=None)
+    def test_within_rounding_of_the_exp_lp_form(self, seed, b_sz, t_len, u_len, v_size, scale,
+                                                blank_boost, lams):
+        z, ys = grid_case(seed, b_sz, t_len, u_len, v_size, scale, blank_boost)
+        lp = log_softmax(z)
+        blank, tok, flat = grid_planes(lp, ys)
+        for criterion in ("rnnt", "wst"):
+            pen = PenaltyConfig(*lams)
+            try:
+                _, d_blank, d_tok = _grid_loss_grad(blank, tok, v_size, penalties_for(criterion, pen))
+            except NoPath:
+                with pytest.raises(NoPath):
+                    batched_grid_loss(z, ys, criterion, pen)
+                continue
+            dlp_sum, magnitude = d_blank.copy(), np.abs(d_blank)
+            dlp_sum[:, :, :u_len] += d_tok
+            magnitude[:, :, :u_len] += np.abs(d_tok)
+            exp_lp_form = np.exp(lp) * dlp_sum[..., None]
+            exp_lp_form[..., 0] -= d_blank
+            exp_lp_form.reshape(-1)[flat] -= d_tok
+            _, grad = batched_grid_loss(z, ys, criterion, pen)
+            # a few units in the last place of the row's sensitivity, or of the smallest subnormal below it
+            bound = 4 * np.finfo(float).eps * magnitude[..., None] + 4 * np.finfo(float).smallest_subnormal
+            assert (np.abs(grad - exp_lp_form) <= bound).all()
+
+    @given(**GRID_CASES)
+    @settings(max_examples=100, deadline=None)
+    def test_logprob_grad_and_reduction_keep_their_bits(self, seed, b_sz, t_len, u_len, v_size, scale,
+                                                        blank_boost, lams):
+        z, ys = grid_case(seed, b_sz, t_len, u_len, v_size, scale, blank_boost)
+        lp = log_softmax(z)
+        blank, tok, flat = grid_planes(lp, ys)
+        for criterion in ("rnnt", "wst"):
+            pen = PenaltyConfig(*lams)
+            try:
+                total, d_blank, d_tok = _grid_loss_grad(blank, tok, v_size, penalties_for(criterion, pen))
+            except NoPath:
+                continue
+            expected = np.full_like(lp, -0.0)
+            expected[..., 0] -= d_blank
+            expected.reshape(-1)[flat] -= d_tok
+            loss, grad = batched_grid_loss(z, ys, criterion, pen, "logprobs")
+            assert loss.tobytes() == (-total).tobytes() and grad.tobytes() == expected.tobytes()
+        for grad_wrt in ("logits", "logprobs"):
+            try:
+                expected = batched_grid_loss(z, ys, "rnnt", None, grad_wrt)
+            except NoPath:
+                with pytest.raises(NoPath):
+                    batched_grid_loss(z, ys, "wst", INF_PENALTY, grad_wrt)
+                continue
+            got = batched_grid_loss(z, ys, "wst", INF_PENALTY, grad_wrt)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got, expected))
 
 
 class TestBatchedValidation:

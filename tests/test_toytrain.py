@@ -117,6 +117,21 @@ class TestTaskData:
         with pytest.raises(ValueError, match=f"^{field} must be of type"):
             make()
 
+    @pytest.mark.parametrize("field,make", [
+        ("learning_rate", lambda: ExperimentConfig(learning_rate=float("nan"))),
+        ("learning_rate", lambda: ExperimentConfig(learning_rate=float("inf"))),
+        ("feature_noise", lambda: ToyTask(feature_noise=float("nan"))),
+        ("feature_noise", lambda: ToyTask(feature_noise=float("inf"))),
+        ("eval_size", lambda: ToyTask(eval_size=-3)),
+        ("seed", lambda: ToyTask(seed=-1)),
+        ("seed", lambda: CorruptionSpec("sub", 0.5, -1)),
+    ], ids=["learning_rate-nan", "learning_rate-inf", "feature_noise-nan", "feature_noise-inf",
+            "eval_size-negative", "task-seed-negative", "spec-seed-negative"])
+    def test_out_of_range_named(self, field, make):
+        """Values that would fail only later, in training or in numpy's seeding, fail at construction."""
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            make()
+
     def test_integers_accepted_in_any_integer_type(self):
         task = ToyTask(vocab_size=np.int64(5), seed=np.int32(3), feature_noise=np.float32(0.5))
         assert task.feature_dim == 4
@@ -417,6 +432,11 @@ class TestConfigRoundTrip:
     def test_momentum_is_an_unknown_key(self):
         with pytest.raises(ValueError, match="^unknown key 'momentum' in config$"):
             config_from_dict({"momentum": 0.0})
+
+    @pytest.mark.parametrize("d, key", [({"corruption": {}}, "kind"), ({"corruption": {"kind": "sub"}}, "rate")])
+    def test_missing_required_key_named(self, d, key):
+        with pytest.raises(ValueError, match=f"^corruption needs key '{key}'$"):
+            config_from_dict(d)
 
     def test_defaults_round_trip(self):
         cfg = ExperimentConfig()
