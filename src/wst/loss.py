@@ -20,9 +20,8 @@ once, as a strided grid view that writes the arc planes and reads the scores.
 Arcs into pad cells are -inf, so the pads stay -inf and keep the items apart.
 Alpha is the sweep from (0, 0), and beta is the same sweep on the grid
 reversed in both axes, run in the same rows as items B..2B-1. The grid ends
-in a frame T whose only reachable cell is (T, U): the mandatory final blank
-is the one arc into it, with no bypass twin, so the log total weight is alpha
-at (T, U).
+in a frame T whose only cell on a path is (T, U), entered by the mandatory
+final blank, so the log total weight is alpha at (T, U).
 Every cell sees the same operands as a cell-by-cell loop (``logaddexp(-inf,
 x) == x``, ``x + 0.0 == x``, and IEEE ``+`` and ``logaddexp`` commute), and
 the recurrence is elementwise over the batch axis, so the result is
@@ -182,19 +181,18 @@ def _grid_loss_grad(blank: np.ndarray, tok: np.ndarray, v_size: int,
     """
     t_len, u_len = tok.shape[1:]
     if penalties is None:
-        vert, horiz = tok, blank.copy()
+        vert, horiz = tok, blank
     else:
         # star is finite or -inf and lambda is never +inf, so no sum is NaN
         star = star_log_prob(blank, v_size)  # [B, T, U+1]
         vert = np.logaddexp(tok, star[:, :, :u_len] + penalties.lambda1)
-        horiz = np.logaddexp(blank, star + penalties.lambda2)
-    # The grid ends in frame T, whose only reachable cell is (T, U): the
-    # mandatory final blank is the one arc out of frame T-1, with no twin.
-    # The other arcs out of frame T-1 end where beta is -inf, yet are masked:
-    # under a penalty near the float maximum alpha + arc overflows on them, and
-    # their NaN occupancy would turn a finite loss into NoPath.
-    horiz[:, -1, :] = NEG_INF
-    horiz[:, -1, -1] = blank[:, -1, -1]
+        # No self-loop is unrolled out of the last frame, so the final blank has no twin. Like
+        # the plain blanks (<= 0) out of frame T-1 at u < U, these arcs would end in cells that
+        # reach nothing, but under a penalty near the float maximum alpha + arc overflows on
+        # them, and their NaN occupancy would turn a finite loss into NoPath.
+        blank_bypass = star + penalties.lambda2
+        blank_bypass[:, -1] = NEG_INF
+        horiz = np.logaddexp(blank, blank_bypass)
     alpha, beta = _alpha_beta(vert, horiz)
     total = alpha[:, t_len, u_len]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

@@ -283,9 +283,7 @@ def greedy_decode(
     return out
 
 
-def evaluate(
-    params: ToyModelParams, eval_set: List[Utterance], max_symbols_per_frame: int = 4
-) -> Dict:
+def evaluate(params: ToyModelParams, eval_set: List[Utterance], max_symbols_per_frame: int) -> Dict:
     """Pooled edit counts and rates over the eval set (``score_corpus``); WER is ``error_rate``."""
     hyps = [greedy_decode(params, feats, max_symbols_per_frame) for feats, _ in eval_set]
     return score_corpus([toks for _, toks in eval_set], hyps)

@@ -191,13 +191,7 @@ def export_dot(g: Wfst, symbols: Optional[Dict[int, str]] = None) -> str:
 
 def export_json(g: Wfst) -> str:
     """Round-trippable JSON arc list. -inf weights serialize as -Infinity."""
-    obj = {
-        "num_states": g.num_states,
-        "start": g.start,
-        "final": g.final,
-        "arcs": [{**asdict(a), "kind": a.kind.value} for a in g.arcs],
-    }
-    return json.dumps(obj, indent=2)
+    return json.dumps(asdict(g), indent=2)
 
 
 def wfst_from_json(text: str) -> Wfst:

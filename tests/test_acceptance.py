@@ -177,10 +177,12 @@ def test_criterion_6_dominance_and_monotonicity():
 
 
 def _trend_wer(cell):
+    """(WER, deletion rate) of one default cell."""
     criterion, kind, rate = cell
     config = ExperimentConfig(criterion=criterion,
                               corruption=CorruptionSpec(kind, rate, 7))
-    return run_experiment(config)["eval_wer"]
+    report = run_experiment(config)
+    return report["eval_wer"], report["eval_del_rate"]
 
 
 def test_criterion_7_trend_reproduction():
@@ -189,7 +191,7 @@ def test_criterion_7_trend_reproduction():
         (criterion, kind, rate) for kind in KINDS for rate in (0.3, 0.5, 0.7) for criterion in ("rnnt", "wst")]
     # the cells are independent; forked workers keep pytest's warning filters and the BLAS thread pin
     with ProcessPoolExecutor(min(2, os.cpu_count() or 1), mp_context=multiprocessing.get_context("fork")) as pool:
-        wer = dict(zip(cells, pool.map(_trend_wer, cells)))
+        wer, dels = (dict(zip(cells, col)) for col in zip(*pool.map(_trend_wer, cells)))
     # (a) clean parity
     clean_std = wer["rnnt", "sub", 0.0]
     clean_ws = wer["wst", "sub", 0.0]
@@ -198,10 +200,14 @@ def test_criterion_7_trend_reproduction():
     sub_std = wer["rnnt", "sub", 0.5]
     sub_ws = wer["wst", "sub", 0.5]
     assert sub_ws <= 0.7 * sub_std
+    # (b') under substitutions both models fail almost only by dropping tokens
+    for criterion in ("rnnt", "wst"):
+        assert dels[criterion, "sub", 0.5] >= 0.95 * wer[criterion, "sub", 0.5], criterion
     # (c) never loses by > 0.02 at any rate >= 0.3, wins at 0.5, for every kind
     lines = [f"  clean: rnnt={clean_std:.3f} wst={clean_ws:.3f}",
              f"  sub@0.5: rnnt={sub_std:.3f} wst={sub_ws:.3f} "
-             f"(ratio {sub_ws / sub_std:.2f})"]
+             f"(ratio {sub_ws / sub_std:.2f}; del rnnt={dels['rnnt', 'sub', 0.5]:.3f} "
+             f"wst={dels['wst', 'sub', 0.5]:.3f})"]
     for kind in KINDS:
         for rate in (0.3, 0.5, 0.7):
             w_std = wer["rnnt", kind, rate]

@@ -7,7 +7,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from wst import loss as loss_module
 from wst.exceptions import BlankInTranscript, NoPath, OutOfVocabulary, ShapeMismatch
-from wst.graphs import LN_HALF, PenaltyConfig, build_rnnt_lattice, build_wst_lattice, penalties_for
+from wst.graphs import (LN_HALF, PenaltyConfig, _grid_lattice, build_rnnt_lattice, build_wst_lattice,
+                        penalties_for)
 from wst.loss import (_BLOCK_BYTES, _grid_loss_grad, _write_grad, batched_grid_loss, log_softmax,
                       rnnt_loss, wst_loss)
 from wst.numerics import NEG_INF, star_log_prob
@@ -199,17 +200,28 @@ class TestGradients:
         assert wst_loss(shift, toks, NO_PENALTY)[0] == pytest.approx(
             wst_loss(z, toks, NO_PENALTY)[0], abs=1e-10)
 
-    def test_logprob_level_gradient_is_occupancy(self):
+    @pytest.mark.parametrize("criterion", ["rnnt", "wst"])
+    def test_logprob_level_gradient_is_occupancy(self, criterion):
+        # a star arc's weight depends on its row only through the blank
+        # log-probability, so its occupancy reaches the blank column times
+        # d(star)/d(lp_blank) = -p_blank / (1 - p_blank)
         rng = np.random.default_rng(11)
-        z, toks = random_instance(rng, 2, 1, 3)
-        _, grad_lp = rnnt_loss(z, toks, grad_wrt="logprobs")
-        g = build_rnnt_lattice(Vocab(3), toks, log_softmax(z))
-        post = arc_posteriors(g)
-        occ = np.zeros_like(grad_lp)
-        for a, p in zip(g.arcs, post):
-            if a.frame is not None:
-                occ[a.frame, a.position, a.label] += p
-        assert np.allclose(grad_lp, -occ, atol=1e-12)
+        for t_len, u_len, v_size in ((2, 1, 3), (3, 2, 2), (4, 3, 5)):
+            z, toks = random_instance(rng, t_len, u_len, v_size)
+            _, grad_lp = batched_grid_loss(z[None], [toks], criterion, grad_wrt="logprobs")
+            lp = log_softmax(z)
+            g = _grid_lattice(Vocab(v_size), toks, lp, penalties_for(criterion))
+            occ = np.zeros_like(lp)
+            for a, p in zip(g.arcs, arc_posteriors(g)):
+                if a.frame is None:
+                    continue
+                row = occ[a.frame, a.position]
+                if a.label == v_size:  # the star
+                    p_blank = math.exp(lp[a.frame, a.position, 0])
+                    row[0] -= p * p_blank / (1 - p_blank)
+                else:
+                    row[a.label] += p
+            assert np.allclose(grad_lp[0], -occ, atol=1e-12)
 
 
 class TestBatchLoss:
@@ -295,7 +307,7 @@ class TestOverflowingLogits:
             entry(z, [1, 2])
 
     def test_frame_before_last_masked_under_huge_penalty(self):
-        """The arcs out of frame T-1 that miss (T, U) are masked, not only unreachable.
+        """The blank-bypass arcs out of frame T-1 are masked, not only unreachable.
 
         Left in under lambda2 = 1.7e308, alpha + arc overflows to +inf on them with
         a RuntimeWarning, and their occupancy inf - inf = NaN makes this finite

@@ -378,7 +378,7 @@ class TestEvaluate:
         _, eval_set = generate_task_data(SMALL_TASK)
         hyps = [(f, greedy_decode(params, f)) for f, _ in eval_set]
         scored = [(f, h) for (f, _), (_, h) in zip(eval_set, hyps)]
-        assert evaluate(params, scored)["error_rate"] == 0.0
+        assert evaluate(params, scored, 4)["error_rate"] == 0.0
 
     def test_trained_beats_untrained(self):
         cfg = small_config(epochs=8, task=dataclasses.replace(SMALL_TASK, train_size=60))
