@@ -130,8 +130,10 @@ def penalties_for(criterion: str, penalties: Optional[PenaltyConfig] = None) -> 
     """The bypass penalties a criterion trains with; None means no bypass arcs.
 
     ``"rnnt"`` has none. ``"wst"`` uses ``penalties``, or ``PenaltyConfig()``
-    when they are not given.
+    when they are not given. Penalties that are neither raise ValueError.
     """
+    if penalties is not None and not isinstance(penalties, PenaltyConfig):
+        raise ValueError(f"penalties must be a PenaltyConfig or None, got {penalties!r}")
     if criterion == "rnnt":
         return None
     if criterion == "wst":

@@ -33,8 +33,11 @@ Gradients are with respect to the logits by default: arc occupancies are
 routed through the log-softmax Jacobian, and bypass arcs additionally apply
 the star chain rule — the star weight depends on the row only through the
 blank log-probability, with d(star)/d(logp_blank) = -p_blank / (1 - p_blank).
-Each row of the log-probability sensitivity has at most two nonzero entries,
-blank and the row's target, so the kernel returns it as two planes,
+The kernel reads that factor off the star plane, as -exp(blank - star -
+log(|V| - 1)), so 1 - p_blank is formed once, in ``star_log_prob``. A bypass
+arc's occupancy is its own share of its twin's, and the plain arc takes the
+rest. Each row of the log-probability sensitivity has at most two nonzero
+entries, blank and the row's target, so the kernel returns it as two planes,
 ``d_blank`` [B, T, U+1] and ``d_tok`` [B, T, U]; no dense sensitivity tensor
 is built. The raw log-probability gradient, ``grad_wrt="logprobs"``, is the
 two planes subtracted in their own columns from a -0.0 fill.
@@ -50,6 +53,7 @@ losses are a dense log-softmax's to the bit. The logit gradient is e scaled
 in place by (d_blank + d_tok) / S, minus the two planes in their columns.
 """
 
+import math
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -164,9 +168,9 @@ def _check_conservation(gamma_vert: np.ndarray, gamma_horiz: np.ndarray) -> None
         raise NoPath(f"arc occupancies of item {item} {fault} (residual {residual[item]:.3g})")
 
 
-def _plain_share(gamma: np.ndarray, plain: np.ndarray, arc: np.ndarray) -> np.ndarray:
-    """The part of occupancy ``gamma`` taken by the plain arc of a twin whose log-sum is ``arc``."""
-    return np.where(gamma > 0.0, gamma * np.exp(plain - arc), 0.0)
+def _share(gamma: np.ndarray, arc: np.ndarray, twin: np.ndarray) -> np.ndarray:
+    """The part of occupancy ``gamma`` taken by ``arc`` in a twin whose log-sum is ``twin``."""
+    return np.where(gamma > 0.0, gamma * np.exp(arc - twin), 0.0)
 
 
 def _grid_loss_grad(blank: np.ndarray, tok: np.ndarray, v_size: int,
@@ -185,7 +189,8 @@ def _grid_loss_grad(blank: np.ndarray, tok: np.ndarray, v_size: int,
     else:
         # star is finite or -inf and lambda is never +inf, so no sum is NaN
         star = star_log_prob(blank, v_size)  # [B, T, U+1]
-        vert = np.logaddexp(tok, star[:, :, :u_len] + penalties.lambda1)
+        tok_bypass = star[:, :, :u_len] + penalties.lambda1
+        vert = np.logaddexp(tok, tok_bypass)
         # No self-loop is unrolled out of the last frame, so the final blank has no twin. Like
         # the plain blanks (<= 0) out of frame T-1 at u < U, these arcs would end in cells that
         # reach nothing, but under a penalty near the float maximum alpha + arc overflows on
@@ -202,15 +207,17 @@ def _grid_loss_grad(blank: np.ndarray, tok: np.ndarray, v_size: int,
         if penalties is None:
             return total, gamma_horiz, gamma_vert
 
-        gamma_tok = _plain_share(gamma_vert, tok, vert)
-        gamma_blank = _plain_share(gamma_horiz, blank, horiz)
-        gamma_star = gamma_horiz - gamma_blank
-        gamma_star[:, :, :u_len] += gamma_vert - gamma_tok
-        # d(star)/d(logp_blank) = -p/(1-p) is finite unless blank == 0; there star is
-        # -inf, so gamma_star is exactly 0 and the mask drops the infinite factor.
-        factor = np.exp(blank) / np.expm1(blank)
-        d_blank = gamma_blank + np.where(gamma_star > 0.0, gamma_star * factor, 0.0)
-    return total, d_blank, gamma_tok
+        # A bypass occupancy is its own share of its twin: the twin less the plain share
+        # cancels where blank holds nearly all the mass, and the factor multiplies that error.
+        gamma_tok_bypass = _share(gamma_vert, tok_bypass, vert)
+        gamma_star = _share(gamma_horiz, blank_bypass, horiz)
+        d_blank = gamma_horiz - gamma_star
+        gamma_star[:, :, :u_len] += gamma_tok_bypass
+        # d(star)/d(logp_blank) = -p/(1-p), read off the star plane. It is finite unless
+        # blank == 0; there star is -inf, so gamma_star is exactly 0 and the mask drops it.
+        factor = -np.exp(blank - star - math.log(v_size - 1))
+        d_blank += np.where(gamma_star > 0.0, gamma_star * factor, 0.0)
+    return total, d_blank, gamma_vert - gamma_tok_bypass
 
 
 def _write_grad(e: np.ndarray, sums: np.ndarray, d_blank: np.ndarray, d_tok: np.ndarray,

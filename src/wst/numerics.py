@@ -35,24 +35,14 @@ def log_sum(values) -> float:
     return m + math.log(sum(math.exp(v - m) for v in vals))
 
 
-def log1mexp(b):
-    """log(1 - exp(b)) for b <= 0, switching formulas at log(1/2) for stability.
-
-    Elementwise on arrays; a scalar gives a float. -inf where b >= 0.
-    """
-    b = np.asarray(b, dtype=float)
-    c = np.minimum(b, 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(c > LN_HALF, np.log(-np.expm1(c)), np.log1p(-np.exp(c)))
-    return float(out) if out.ndim == 0 else out
-
-
 def star_log_prob(log_p_blank, vocab_size: int):
     """Log of the average non-blank probability: log((1 - p_blank) / (|V| - 1)).
 
-    Elementwise on an array of blank log-probabilities. Returns -inf where
-    blank takes all the mass.
+    Elementwise on an array of blank log-probabilities; a scalar gives a float.
+    Returns -inf where blank takes all the mass (log_p_blank >= 0).
     """
     if vocab_size < 2:
         raise ValueError("vocab_size must be at least 2")
-    return log1mexp(log_p_blank) - math.log(vocab_size - 1)
+    with np.errstate(divide="ignore"):
+        out = np.log(-np.expm1(np.minimum(log_p_blank, 0.0))) - math.log(vocab_size - 1)
+    return float(out) if np.ndim(out) == 0 else out

@@ -136,9 +136,14 @@ def init_params(task: ToyTask, hidden: int, seed: int) -> ToyModelParams:
 
 
 def forward(params: ToyModelParams, features: np.ndarray, tokens: Sequence[int]) -> np.ndarray:
-    """Logit tensor [T][U+1][|V|] for one utterance; a token that is not a real symbol raises VocabError."""
+    """Logit tensor [T][U+1][|V|] for one utterance.
+
+    A token that is not a real symbol raises VocabError, and a NaN or infinite feature ShapeMismatch.
+    """
     validate_transcript(Vocab(params.joiner_w.shape[0]), tokens)
     xs = np.asarray(features, dtype=float)[None]
+    if not np.isfinite(xs).all():
+        raise ShapeMismatch("features must be finite")
     logits, _, _ = _forward_batch(params, xs, np.asarray([list(tokens)], dtype=int), {})
     return logits[0]
 

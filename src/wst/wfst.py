@@ -55,6 +55,7 @@ class Wfst:
     """Automaton with a single start and a single final state.
 
     The final state has no outgoing arcs. State ids live in [0, num_states).
+    Arc weights are finite or -inf (a disabled arc).
     """
 
     num_states: int
@@ -73,6 +74,8 @@ class Wfst:
                 raise ValueError(f"arc {a} references a state outside [0, {self.num_states})")
             if a.src == self.final:
                 raise ValueError("final state must have no outgoing arcs")
+            if not a.weight < math.inf:
+                raise ValueError(f"arc {a}: a weight must not be NaN or +inf")
 
 
 def out_arcs(g: Wfst) -> List[List[Tuple[int, Arc]]]:
@@ -111,11 +114,13 @@ def _push(num_states: int, source: int, arcs, order: Iterable[int]) -> List[floa
     """Log total weight of all paths from ``source`` to each state.
 
     ``arcs`` are (from, to, weight) triples. Each state in ``order`` pushes its
-    score along its arcs in list order, so results are bit-reproducible.
+    score along its arcs in list order, so results are bit-reproducible. A -inf
+    arc adds nothing, so it is skipped: an overflowed +inf score would make it NaN.
     """
     adj: List[List[Tuple[int, float]]] = [[] for _ in range(num_states)]
     for src, dst, w in arcs:
-        adj[src].append((dst, w))
+        if w != NEG_INF:
+            adj[src].append((dst, w))
     score = [NEG_INF] * num_states
     score[source] = 0.0
     for s in order:
@@ -149,7 +154,8 @@ def arc_posteriors(g: Wfst) -> List[float]:
 
     posterior(arc) = exp(alpha[src] + weight + beta[dst] - total). These are the
     gradients of total_weight with respect to the arc weights. Raises NoPath
-    when the total weight is -inf.
+    when the total weight is not finite: -inf for no accepting path, +inf or
+    NaN where the path weights overflowed.
     """
     order = topo_sort(g)
     alpha = forward_scores(g, order)
@@ -157,10 +163,12 @@ def arc_posteriors(g: Wfst) -> List[float]:
     total = alpha[g.final]
     if total == NEG_INF:
         raise NoPath("no accepting path; posteriors are undefined")
+    if not math.isfinite(total):
+        raise NoPath(f"total weight overflowed ({total}); posteriors are undefined")
     post = []
     for a in g.arcs:
-        w = alpha[a.src] + a.weight + beta[a.dst]
-        post.append(0.0 if w == NEG_INF else math.exp(w - total))
+        terms = (alpha[a.src], a.weight, beta[a.dst])  # off every path one is -inf, so an overflow elsewhere is 0
+        post.append(0.0 if NEG_INF in terms else math.exp(sum(terms) - total))
     return post
 
 
@@ -195,8 +203,13 @@ def export_json(g: Wfst) -> str:
 
 
 def wfst_from_json(text: str) -> Wfst:
-    """Inverse of export_json; bit-exact on weights."""
+    """Inverse of export_json; bit-exact on weights. A malformed object raises ValueError naming the fault."""
     obj = json.loads(text)
-    arcs = tuple(Arc(**{**d, "weight": float(d["weight"]), "kind": ArcKind(d["kind"])})
-                 for d in obj["arcs"])
-    return Wfst(num_states=obj["num_states"], start=obj["start"], final=obj["final"], arcs=arcs)
+    try:
+        arcs = tuple(Arc(**{**d, "weight": float(d["weight"]), "kind": ArcKind(d["kind"])})
+                     for d in obj["arcs"])
+        return Wfst(num_states=obj["num_states"], start=obj["start"], final=obj["final"], arcs=arcs)
+    except KeyError as exc:
+        raise ValueError(f"wfst JSON lacks the key {exc}") from None
+    except TypeError as exc:
+        raise ValueError(f"malformed wfst JSON: {exc}") from None

@@ -45,6 +45,9 @@ token = st.one_of(st.integers(-2, 6), st.sampled_from([0, -1, 2**64, 1.0, 2.0, 1
 tokens = st.lists(token, max_size=3)
 int_tokens = st.lists(st.integers(-1, 4), max_size=3)
 vocabs = st.integers(2, 5).map(Vocab)
+penalties = (st.none() | st.sampled_from([PenaltyConfig(), PenaltyConfig(0.0, -math.inf)]) |
+             st.tuples(st.floats(), st.floats()) | st.text(max_size=3) |
+             st.dictionaries(st.sampled_from(["lambda1", "lambda2"]), st.floats()))
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 2**64) | st.floats() | st.text(max_size=3),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=4),
@@ -73,25 +76,25 @@ def _outcome(call):
 
 @CONTRACT
 @given(z=tensors, toks=st.one_of(tokens.map(lambda t: [t]), tokens),
-       criterion=st.sampled_from(["rnnt", "wst"]), grad_wrt=st.sampled_from(["logits", "logprobs"]))
-def test_batched_grid_loss(z, toks, criterion, grad_wrt):
-    _outcome(lambda: batched_grid_loss(z, toks, criterion, None, grad_wrt))
+       criterion=st.sampled_from(["rnnt", "wst"]), pen=penalties, grad_wrt=st.sampled_from(["logits", "logprobs"]))
+def test_batched_grid_loss(z, toks, criterion, pen, grad_wrt):
+    _outcome(lambda: batched_grid_loss(z, toks, criterion, pen, grad_wrt))
 
 
 @CONTRACT
-@given(z=tensors, toks=tokens)
-def test_single_item_losses_and_log_softmax(z, toks):
+@given(z=tensors, toks=tokens, pen=penalties)
+def test_single_item_losses_and_log_softmax(z, toks, pen):
     _outcome(lambda: rnnt_loss(z, toks))
-    _outcome(lambda: wst_loss(z, toks, None, grad_wrt="logprobs"))
+    _outcome(lambda: wst_loss(z, toks, pen, grad_wrt="logprobs"))
     _outcome(lambda: log_softmax(z))
 
 
 @CONTRACT
-@given(vocab=vocabs, toks=tokens, lp=grids.filter(lambda a: a.ndim == 3) | tensors)
-def test_builders_and_lattice_scores(vocab, toks, lp):
+@given(vocab=vocabs, toks=tokens, lp=grids.filter(lambda a: a.ndim == 3) | tensors, pen=penalties)
+def test_builders_and_lattice_scores(vocab, toks, lp, pen):
     _outcome(lambda: build_transcript_graph(vocab, toks))
-    _outcome(lambda: build_ws_transcript_graph(vocab, toks, None))
-    for build in (lambda: build_rnnt_lattice(vocab, toks, lp), lambda: build_wst_lattice(vocab, toks, lp, None)):
+    _outcome(lambda: build_ws_transcript_graph(vocab, toks, pen))
+    for build in (lambda: build_rnnt_lattice(vocab, toks, lp), lambda: build_wst_lattice(vocab, toks, lp, pen)):
         kind, g = _outcome(build)
         if kind == "ok":
             _outcome(lambda: total_weight(g))
@@ -99,9 +102,9 @@ def test_builders_and_lattice_scores(vocab, toks, lp):
 
 
 @CONTRACT
-@given(z=grids | tensors, toks=tokens, criterion=st.sampled_from(["rnnt", "wst"]))
-def test_brute_force_loss(z, toks, criterion):
-    _outcome(lambda: brute_force_loss(z, toks, criterion, max_paths=50))
+@given(z=grids | tensors, toks=tokens, criterion=st.sampled_from(["rnnt", "wst"]), pen=penalties)
+def test_brute_force_loss(z, toks, criterion, pen):
+    _outcome(lambda: brute_force_loss(z, toks, criterion, pen, max_paths=50))
 
 
 @SLOW_CONTRACT

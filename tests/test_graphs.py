@@ -214,6 +214,9 @@ class TestOneGrid:
         assert penalties_for("wst") == PenaltyConfig()
         with pytest.raises(ValueError, match="criterion"):
             penalties_for("ctc", p)
+        for bad in ((0.0, 0.0), {"lambda1": 0.0}, "wst"):
+            with pytest.raises(ValueError, match="penalties must be a PenaltyConfig or None"):
+                penalties_for("wst", bad)
 
     def test_none_penalties_mean_default(self):
         lp = uniform_lp(2, 1, 3)

@@ -1,4 +1,6 @@
+import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -204,10 +206,13 @@ class TestGradients:
     def test_logprob_level_gradient_is_occupancy(self, criterion):
         # a star arc's weight depends on its row only through the blank
         # log-probability, so its occupancy reaches the blank column times
-        # d(star)/d(lp_blank) = -p_blank / (1 - p_blank)
+        # d(star)/d(lp_blank) = -p_blank / (1 - p_blank); with blank boosted
+        # that factor is up to e^30, so a bypass occupancy formed as a
+        # difference of its twin's and the plain arc's loses its digits
         rng = np.random.default_rng(11)
-        for t_len, u_len, v_size in ((2, 1, 3), (3, 2, 2), (4, 3, 5)):
+        for (t_len, u_len, v_size), boost in itertools.product(((2, 1, 3), (3, 2, 2), (4, 3, 5)), (0.0, 20.0, 30.0)):
             z, toks = random_instance(rng, t_len, u_len, v_size)
+            z[..., 0] += boost
             _, grad_lp = batched_grid_loss(z[None], [toks], criterion, grad_wrt="logprobs")
             lp = log_softmax(z)
             g = _grid_lattice(Vocab(v_size), toks, lp, penalties_for(criterion))
@@ -217,11 +222,11 @@ class TestGradients:
                     continue
                 row = occ[a.frame, a.position]
                 if a.label == v_size:  # the star
-                    p_blank = math.exp(lp[a.frame, a.position, 0])
-                    row[0] -= p * p_blank / (1 - p_blank)
+                    blank = lp[a.frame, a.position, 0]
+                    row[0] -= p * math.exp(blank) / -math.expm1(blank)
                 else:
                     row[a.label] += p
-            assert np.allclose(grad_lp[0], -occ, atol=1e-12)
+            assert np.allclose(grad_lp[0], -occ, rtol=1e-10, atol=0.0)
 
 
 class TestBatchLoss:
@@ -432,10 +437,11 @@ def reference_grid_loss(logits, ys, use_star, lambda1, lambda2, grad_wrt):
                           np.exp(alpha[:, t_len - 1, u_len] + term - tot[:, 0, 0]))
     if use_star:
         with np.errstate(invalid="ignore"):
-            gamma_tok = np.where(gamma_vert > 0.0, gamma_vert * np.exp(tok - vert), 0.0)
-            gamma_blank = np.where(gamma_horiz > 0.0,
-                                   gamma_horiz * np.exp(blank[:, : t_len - 1, :] - horiz[:, : t_len - 1, :]),
-                                   0.0)
+            gamma_tok_bypass = np.where(gamma_vert > 0.0, gamma_vert * np.exp(star1 - vert), 0.0)
+            gamma_blank_bypass = np.where(
+                gamma_horiz > 0.0, gamma_horiz * np.exp(star2[:, : t_len - 1, :] - horiz[:, : t_len - 1, :]), 0.0)
+        gamma_tok = gamma_vert - gamma_tok_bypass
+        gamma_blank = gamma_horiz - gamma_blank_bypass
     else:
         gamma_tok, gamma_blank = gamma_vert, gamma_horiz
 
@@ -447,10 +453,10 @@ def reference_grid_loss(logits, ys, use_star, lambda1, lambda2, grad_wrt):
     dlp[:, t_len - 1, u_len, 0] += gamma_term
     if use_star:
         gamma_star = np.zeros((b_sz, t_len, cols))
-        gamma_star[:, :, :u_len] += gamma_vert - gamma_tok
-        gamma_star[:, : t_len - 1, :] += gamma_horiz - gamma_blank
-        with np.errstate(divide="ignore", invalid="ignore"):
-            factor = np.exp(blank) / np.expm1(blank)
+        gamma_star[:, :, :u_len] += gamma_tok_bypass
+        gamma_star[:, : t_len - 1, :] += gamma_blank_bypass
+        with np.errstate(over="ignore", invalid="ignore"):
+            factor = -np.exp(blank - star - math.log(v_size - 1))  # -p_blank / (1 - p_blank)
             dlp[..., 0] += np.where(gamma_star > 0.0, gamma_star * factor, 0.0)
 
     if grad_wrt == "logits":
@@ -696,6 +702,16 @@ class TestBatchedValidation:
     def test_unknown_grad_wrt(self):
         with pytest.raises(ValueError, match="grad_wrt"):
             batched_grid_loss(self.Z, self.YS, grad_wrt="bogus")
+
+    @pytest.mark.parametrize("pen", [(0.0, 0.0), {"lambda1": 0.0, "lambda2": 0.0}, "wst"])
+    def test_penalties_of_another_type_named(self, pen):
+        calls = (lambda: batched_grid_loss(self.Z, self.YS, "wst", pen), lambda: wst_loss(self.Z[0], [1, 2], pen),
+                 lambda: brute_force_loss(self.Z[0], [1, 2], "wst", pen),
+                 lambda: build_wst_lattice(Vocab(5), [1, 2], log_softmax(self.Z[0]), pen))
+        message = "penalties must be a PenaltyConfig or None, got " + re.escape(repr(pen))
+        for call in calls:
+            with pytest.raises(ValueError, match=message):
+                call()
 
     def test_single_item_checked_once(self, monkeypatch):
         shapes = []

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from wst.numerics import NEG_INF, log1mexp, log_add, log_sum, star_log_prob
+from wst.numerics import NEG_INF, log_add, log_sum, star_log_prob
 
 finite = st.floats(min_value=-50, max_value=50)
 
@@ -76,11 +76,11 @@ def test_log_sum_order_independent(vals):
     assert abs(log_sum(vals) - log_sum(list(reversed(vals)))) <= 1e-12
 
 
-def test_log1mexp_limits():
-    assert log1mexp(0.0) == NEG_INF
-    assert log1mexp(NEG_INF) == pytest.approx(0.0, abs=1e-15)
-    b = math.log(0.3)
-    assert log1mexp(b) == pytest.approx(math.log(0.7), abs=1e-12)
+def test_star_log_prob_limits():
+    assert star_log_prob(0.0, 2) == NEG_INF
+    assert star_log_prob(NEG_INF, 2) == 0.0
+    assert star_log_prob(NEG_INF, 5) == -math.log(4)
+    assert star_log_prob(math.log(0.3), 2) == pytest.approx(math.log(0.7), abs=1e-12)
 
 
 def test_star_log_prob_uniform():
@@ -116,13 +116,6 @@ def assert_close_or_neg_inf(got, want):
         assert math.isclose(got, want, rel_tol=1e-15, abs_tol=0.0), (got, want)
 
 
-def test_log1mexp_array_matches_math_formulas():
-    out = log1mexp(np.asarray(EDGE_VALUES))
-    assert isinstance(out, np.ndarray) and out.shape == (len(EDGE_VALUES),)
-    for b, got in zip(EDGE_VALUES, out):
-        assert_close_or_neg_inf(float(got), math_log1mexp(b))
-
-
 def test_star_log_prob_array_matches_math_formulas():
     v_size = 7
     out = star_log_prob(np.asarray(EDGE_VALUES).reshape(3, 3), v_size)
@@ -135,9 +128,8 @@ def test_star_log_prob_array_matches_math_formulas():
 @pytest.mark.parametrize("b", EDGE_VALUES)
 def test_scalar_input_gives_python_float(b):
     for x in (b, np.float64(b)):
-        assert type(log1mexp(x)) is float
         assert type(star_log_prob(x, 4)) is float
-        assert_close_or_neg_inf(log1mexp(x), math_log1mexp(b))
+        assert_close_or_neg_inf(star_log_prob(x, 4), math_log1mexp(b) - math.log(3))
 
 
 @pytest.mark.parametrize("v_size", [1, 0])

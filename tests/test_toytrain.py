@@ -175,6 +175,15 @@ class TestForward:
         with pytest.raises(ShapeMismatch):
             greedy_decode(params, np.zeros(SMALL_TASK.feature_dim))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features(self, bad):
+        params = init_params(SMALL_TASK, 8, 0)
+        feats = np.zeros((3, SMALL_TASK.feature_dim))
+        feats[1, 2] = bad
+        for call in (lambda: forward(params, feats, [1]), lambda: greedy_decode(params, feats)):
+            with pytest.raises(ShapeMismatch, match="features must be finite"):
+                call()
+
     @pytest.mark.parametrize("tokens", [[99], [0], [1, SMALL_TASK.vocab_size], [1.5], [True]])
     def test_transcript_outside_vocabulary(self, tokens):
         # out of range, blank, star, a fraction and a bool are all VocabErrors, not IndexErrors

@@ -84,6 +84,12 @@ class TestTotalWeight:
         g = Wfst(3, 0, 2, [Arc(0, 1, EPSILON, EPSILON, 0.0)])
         assert total_weight(g) == NEG_INF
 
+    def test_disabled_arc_after_overflow_is_no_path(self):
+        g = chain([1e308, 1e308, NEG_INF])
+        assert total_weight(g) == NEG_INF
+        with pytest.raises(NoPath, match="no accepting path"):
+            arc_posteriors(g)
+
     def test_oracle_equivalence_random_graphs(self):
         rng = np.random.default_rng(11)
         for _ in range(30):
@@ -114,6 +120,16 @@ class TestArcPosteriors:
         g = Wfst(3, 0, 2, [Arc(0, 1, EPSILON, EPSILON, 0.0)])
         with pytest.raises(NoPath):
             arc_posteriors(g)
+
+    def test_overflowed_total_raises(self):
+        with pytest.raises(NoPath, match="overflowed"):
+            arc_posteriors(chain([1e308, 1e308]))
+
+    def test_dead_end_overflow_is_zero(self):
+        # the branch through states 2 and 3 overflows alpha but reaches no final state
+        arcs = [Arc(0, 1, EPSILON, EPSILON, 0.0), Arc(0, 2, EPSILON, EPSILON, 1e308),
+                Arc(2, 3, EPSILON, EPSILON, 1e308), Arc(3, 4, EPSILON, EPSILON, -1.0)]
+        assert arc_posteriors(Wfst(5, 0, 1, arcs)) == [1.0, 0.0, 0.0, 0.0]
 
     def test_flow_conservation(self):
         rng = np.random.default_rng(5)
@@ -201,6 +217,13 @@ class TestExport:
         parsed = wfst_from_json(export_json(g))
         assert parsed.num_states == 18
 
+    @pytest.mark.parametrize("text, fault", [("{}", "lacks the key 'arcs'"),
+                                             ('{"num_states": 2, "start": 0, "final": 1, "arcs": [1]}',
+                                              "not a mapping")])
+    def test_malformed_json_named(self, text, fault):
+        with pytest.raises(ValueError, match=fault):
+            wfst_from_json(text)
+
     def test_dot_annotation_format(self):
         g = chain([-1.25])
         assert 'label="eps:eps/-1.25"' in export_dot(g)
@@ -214,6 +237,11 @@ class TestInvariants:
     def test_state_ids_in_range(self):
         with pytest.raises(ValueError):
             Wfst(2, 0, 1, [Arc(0, 5, EPSILON, EPSILON, 0.0)])
+
+    @pytest.mark.parametrize("weight", [math.nan, math.inf])
+    def test_nan_and_plus_inf_weights_rejected(self, weight):
+        with pytest.raises(ValueError, match="must not be NaN or \\+inf"):
+            Wfst(2, 0, 1, [Arc(0, 1, 1, 1, weight)])
 
     @pytest.mark.parametrize("start, final, named", [(2, 1, "start"), (-1, 1, "start"), (0, 2, "final")])
     def test_start_and_final_in_range(self, start, final, named):
