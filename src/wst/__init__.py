@@ -7,7 +7,7 @@ it: a brute-force enumeration oracle, transcript corruption and WER tools,
 and a small trainable transducer.
 """
 
-from .corruption import CorruptionSpec, corrupt, corrupt_dataset, edit_counts, measure_corruption, wer
+from .corruption import CorruptionSpec, corrupt, corrupt_dataset, edit_counts, measure_corruption
 from .graphs import (
     PenaltyConfig,
     build_rnnt_lattice,
@@ -17,7 +17,7 @@ from .graphs import (
     penalties_for,
 )
 from .loss import batched_grid_loss, log_softmax, rnnt_loss, wst_loss
-from .numerics import NEG_INF, log_add, log_sum, star_log_prob
+from .numerics import NEG_INF, star_log_prob
 from .oracle import brute_force_loss, enumerate_paths
 from .toytrain import (
     ExperimentConfig,

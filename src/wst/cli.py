@@ -161,8 +161,6 @@ def cmd_score(args) -> int:
     if missing:
         raise WstError(f"hypotheses missing for ids: {missing[:5]}")
     counts = corruption.score_corpus(refs.values(), [hyps[uid] for uid in refs])
-    if counts["total_ref_tokens"] == 0:
-        raise WstError("reference corpus is empty; WER undefined")
     report = {
         "wer": counts["error_rate"],
         "sub": counts["sub_count"],

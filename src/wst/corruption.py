@@ -122,23 +122,13 @@ def edit_counts(ref: Sequence[int], hyp: Sequence[int]) -> Tuple[int, int, int]:
     return subs, ins, cost - subs - ins
 
 
-def wer(ref: Sequence[int], hyp: Sequence[int]) -> Tuple[float, int, int, int]:
-    """(rate, subs, ins, dels) under a minimal edit alignment.
-
-    The rate is (S + I + D) / len(ref); raises EmptyReference when the
-    reference is empty.
-    """
-    if len(ref) == 0:
-        raise EmptyReference("WER rate is undefined for an empty reference")
-    subs, ins, dels = edit_counts(ref, hyp)
-    return (subs + ins + dels) / len(ref), subs, ins, dels
-
-
 def score_corpus(refs: Sequence[Sequence[int]], hyps: Sequence[Sequence[int]]) -> Dict[str, float]:
     """Pooled edit counts and rates of ``hyps`` against ``refs``.
 
-    Rates are total edit counts divided by the total reference token count (at
-    least 1), broken down by substitution / insertion / deletion.
+    Rates are total edit counts divided by the total reference token count,
+    broken down by substitution / insertion / deletion; WER is ``error_rate``.
+    Raises EmptyReference when the references hold no token, where no rate
+    is defined.
     """
     total_tokens = 0
     subs = ins = dels = 0
@@ -148,16 +138,17 @@ def score_corpus(refs: Sequence[Sequence[int]], hyps: Sequence[Sequence[int]]) -
         ins += i
         dels += d
         total_tokens += len(ref)
-    denom = max(total_tokens, 1)
+    if total_tokens == 0:
+        raise EmptyReference("WER is undefined for a reference corpus with no tokens")
     return {
         "total_ref_tokens": total_tokens,
         "sub_count": subs,
         "ins_count": ins,
         "del_count": dels,
-        "sub_rate": subs / denom,
-        "ins_rate": ins / denom,
-        "del_rate": dels / denom,
-        "error_rate": (subs + ins + dels) / denom,
+        "sub_rate": subs / total_tokens,
+        "ins_rate": ins / total_tokens,
+        "del_rate": dels / total_tokens,
+        "error_rate": (subs + ins + dels) / total_tokens,
     }
 
 

@@ -1,8 +1,9 @@
-"""Log-domain primitives.
+"""Log-domain constants and the star weight.
 
 All probabilities in this package live in natural-log space, with -inf as
-the semiring zero (a disabled arc / empty sum). These helpers never produce
-NaN for inputs in the extended reals.
+the semiring zero (a disabled arc / empty sum). Log-addition is numpy's
+``np.logaddexp``, which is exact against -inf and gives +inf, never NaN, on
++inf.
 """
 
 import math
@@ -12,27 +13,6 @@ import numpy as np
 NEG_INF = float("-inf")
 
 LN_HALF = math.log(0.5)
-
-
-def log_add(a: float, b: float) -> float:
-    """log(exp(a) + exp(b)) via the max-shift trick; exact when one side is -inf."""
-    if a == NEG_INF:
-        return b
-    if b == NEG_INF:
-        return a
-    m = a if a > b else b
-    return m + math.log(math.exp(a - m) + math.exp(b - m))
-
-
-def log_sum(values) -> float:
-    """logsumexp over a sequence with a single max-shift; empty input gives -inf."""
-    vals = list(values)
-    if not vals:
-        return NEG_INF
-    m = max(vals)
-    if m == NEG_INF:
-        return NEG_INF
-    return m + math.log(sum(math.exp(v - m) for v in vals))
 
 
 def star_log_prob(log_p_blank, vocab_size: int):

@@ -7,10 +7,11 @@ not share their machinery beyond the lattice builders and the input checks.
 
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .exceptions import NoPath, TooManyPaths
 from .graphs import PenaltyConfig, _check_grid, _grid_lattice, item_tensor, penalties_for
 from .loss import log_softmax
-from .numerics import NEG_INF, log_sum
 from .vocab import Vocab
 from .wfst import Wfst, out_arcs, topo_sort
 
@@ -47,13 +48,21 @@ def brute_force_loss(
     penalties: Optional[PenaltyConfig] = None,
     max_paths: int = MAX_PATHS,
 ) -> float:
-    """Loss by explicit summation over every enumerated alignment path; NoPath if none has finite weight."""
+    """Loss by one max shift and numpy's pairwise sum over every enumerated alignment path.
+
+    Raises NoPath if no path has finite weight or if a path weight overflowed to +inf.
+    """
     pen = penalties_for(criterion, penalties)
     z = item_tensor(logits)
     _check_grid(z[None], [list(tokens)])
     lp = log_softmax(z)
     g = _grid_lattice(Vocab(lp.shape[-1]), tokens, lp, pen)
-    total = log_sum(w for _, w in enumerate_paths(g, max_paths=max_paths))
-    if total == NEG_INF:  # the kernel raises NoPath here too
+    weights = np.array([w for _, w in enumerate_paths(g, max_paths=max_paths)])
+    # a NaN weight is an overflow met by a -inf arc: a disabled path, like -inf itself
+    weights = weights[weights > -np.inf]
+    if weights.size == 0:  # the kernel raises NoPath here too
         raise NoPath("lattice admits no accepting path")
-    return -total
+    top = weights.max()
+    if top == np.inf:
+        raise NoPath("a path weight overflowed (+inf); the loss is undefined")
+    return -float(top + np.log(np.exp(weights - top).sum()))

@@ -47,7 +47,7 @@ class ToyTask:
     def __post_init__(self):
         check_field_types(self)
         for name, low in (("vocab_size", 2), ("min_len", 1), ("train_size", 1), ("frames_per_token", 1),
-                          ("eval_size", 0), ("seed", 0), ("feature_noise", 0)):
+                          ("eval_size", 1), ("seed", 0), ("feature_noise", 0)):
             if not low <= getattr(self, name) < math.inf:  # NaN fails too
                 raise ValueError(f"{name} must be finite and >= {low}")
         if self.max_len < self.min_len:

@@ -14,10 +14,13 @@ import json
 import math
 from dataclasses import asdict, dataclass, field
 from enum import Enum
+from numbers import Integral, Real
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .exceptions import CyclicGraph, NoPath
-from .numerics import NEG_INF, log_add
+from .numerics import NEG_INF
 
 EPSILON = -1
 
@@ -54,8 +57,9 @@ class Arc:
 class Wfst:
     """Automaton with a single start and a single final state.
 
-    The final state has no outgoing arcs. State ids live in [0, num_states).
-    Arc weights are finite or -inf (a disabled arc).
+    The final state has no outgoing arcs. State ids are integers in
+    [0, num_states). Arc weights are real numbers, finite or -inf (a disabled
+    arc). Anything else raises ValueError naming the field or the arc.
     """
 
     num_states: int
@@ -65,17 +69,26 @@ class Wfst:
 
     def __post_init__(self):
         object.__setattr__(self, "arcs", tuple(self.arcs))
+        for name in ("num_states", "start", "final"):
+            if not _is_a(getattr(self, name), Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if not (0 <= self.start < self.num_states):
             raise ValueError(f"start state {self.start} out of range")
         if not (0 <= self.final < self.num_states):
             raise ValueError(f"final state {self.final} out of range")
         for a in self.arcs:
+            if not (_is_a(a.src, Integral) and _is_a(a.dst, Integral) and _is_a(a.weight, Real)):
+                raise ValueError(f"arc {a}: state ids must be integers and the weight a real number")
             if not (0 <= a.src < self.num_states and 0 <= a.dst < self.num_states):
                 raise ValueError(f"arc {a} references a state outside [0, {self.num_states})")
             if a.src == self.final:
                 raise ValueError("final state must have no outgoing arcs")
             if not a.weight < math.inf:
                 raise ValueError(f"arc {a}: a weight must not be NaN or +inf")
+
+
+def _is_a(value, kind) -> bool:
+    return isinstance(value, kind) and not isinstance(value, bool)  # no field is a bool
 
 
 def out_arcs(g: Wfst) -> List[List[Tuple[int, Arc]]]:
@@ -128,7 +141,7 @@ def _push(num_states: int, source: int, arcs, order: Iterable[int]) -> List[floa
         if s_score == NEG_INF:
             continue
         for dst, w in adj[s]:
-            score[dst] = log_add(score[dst], s_score + w)
+            score[dst] = float(np.logaddexp(score[dst], s_score + w))
     return score
 
 
@@ -144,9 +157,15 @@ def backward_scores(g: Wfst, order: Optional[Sequence[int]] = None) -> List[floa
     return _push(g.num_states, g.final, [(a.dst, a.src, a.weight) for a in g.arcs], reversed(order))
 
 
+def _no_overflow(total: float) -> float:
+    if total == math.inf:
+        raise NoPath("total weight overflowed (+inf); the path weights are too large to sum")
+    return total
+
+
 def total_weight(g: Wfst) -> float:
-    """log sum over all accepting paths of exp(summed arc weights)."""
-    return forward_scores(g)[g.final]
+    """log sum over all accepting paths of exp(summed arc weights); -inf if none, NoPath if it overflowed."""
+    return _no_overflow(forward_scores(g)[g.final])
 
 
 def arc_posteriors(g: Wfst) -> List[float]:
@@ -154,17 +173,15 @@ def arc_posteriors(g: Wfst) -> List[float]:
 
     posterior(arc) = exp(alpha[src] + weight + beta[dst] - total). These are the
     gradients of total_weight with respect to the arc weights. Raises NoPath
-    when the total weight is not finite: -inf for no accepting path, +inf or
-    NaN where the path weights overflowed.
+    when the total weight is not finite: -inf for no accepting path, +inf
+    where the path weights overflowed, as total_weight does.
     """
     order = topo_sort(g)
     alpha = forward_scores(g, order)
     beta = backward_scores(g, order)
-    total = alpha[g.final]
+    total = _no_overflow(alpha[g.final])
     if total == NEG_INF:
         raise NoPath("no accepting path; posteriors are undefined")
-    if not math.isfinite(total):
-        raise NoPath(f"total weight overflowed ({total}); posteriors are undefined")
     post = []
     for a in g.arcs:
         terms = (alpha[a.src], a.weight, beta[a.dst])  # off every path one is -inf, so an overflow elsewhere is 0

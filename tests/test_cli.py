@@ -305,6 +305,16 @@ class TestCorruptAndScore:
         assert code == 1
         assert "missing" in err
 
+    def test_score_all_empty_reference(self, capsys, tmp_path):
+        ref = tmp_path / "ref.jsonl"
+        hyp = tmp_path / "hyp.jsonl"
+        write_jsonl(ref, [{"id": 0, "tokens": []}, {"id": 1, "tokens": []}])
+        write_jsonl(hyp, [{"id": 0, "tokens": [1]}, {"id": 1, "tokens": []}])
+        code, out, err = run(capsys, "score", "--ref", str(ref), "--hyp", str(hyp))
+        assert code == 1 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and "no tokens" in lines[0]
+
     @pytest.mark.parametrize("row", [
         [0, [1, 2]],
         {"id": 0, "tokens": None},

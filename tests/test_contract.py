@@ -1,7 +1,7 @@
 """One property suite for the input contract of every public entry point.
 
-Each call on arbitrary input returns a NaN-free result or raises a typed
-error: ``WstError``, or ``ValueError`` where the CLI maps it to exit 1.
+Each call on arbitrary input returns a result free of NaN and +inf or raises
+a typed error: ``WstError``, or ``ValueError`` where the CLI maps it to exit 1.
 ``cli.main`` returns 0 or 1 on arbitrary JSON or raw file contents and
 never raises. The loss kernel, the oracle and the lattice builder check one
 grid contract, so on finite logits they fail alike or succeed alike. Settings
@@ -22,7 +22,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from wst import cli
-from wst.corruption import CorruptionSpec, corrupt, score_corpus, wer
+from wst.corruption import CorruptionSpec, corrupt, score_corpus
 from wst.exceptions import NoPath, WstError
 from wst.graphs import (LN_HALF, PenaltyConfig, build_rnnt_lattice, build_transcript_graph,
                         build_ws_transcript_graph, build_wst_lattice)
@@ -30,7 +30,8 @@ from wst.loss import batched_grid_loss, log_softmax, rnnt_loss, wst_loss
 from wst.oracle import brute_force_loss
 from wst.toytrain import config_from_dict
 from wst.vocab import Vocab
-from wst.wfst import arc_posteriors, total_weight
+from wst.wfst import (Arc, Wfst, arc_posteriors, export_dot, export_json, topo_sort, total_weight,
+                      wfst_from_json)
 
 CONTRACT = settings(derandomize=True, max_examples=150, deadline=None, database=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -54,13 +55,14 @@ json_values = st.recursive(
     max_leaves=12)
 
 
-def _nan_free(result) -> bool:
+def _clean(result) -> bool:
+    """No NaN and no +inf anywhere in the result; -inf is the log of zero."""
     if isinstance(result, dict):
-        return all(_nan_free(v) for v in result.values())
+        return all(_clean(v) for v in result.values())
     if isinstance(result, (tuple, list)):
-        return all(_nan_free(v) for v in result)
+        return all(_clean(v) for v in result)
     if isinstance(result, (float, np.ndarray, np.floating)):
-        return not np.isnan(result).any()
+        return not (np.isnan(result) | (result == math.inf)).any()
     return True
 
 
@@ -70,7 +72,7 @@ def _outcome(call):
         result = call()
     except (WstError, ValueError) as exc:
         return type(exc), str(exc)
-    assert _nan_free(result), result
+    assert _clean(result), result
     return "ok", result
 
 
@@ -112,9 +114,52 @@ def test_brute_force_loss(z, toks, criterion, pen):
        kind=st.sampled_from(["sub", "ins", "del", "mixed"]), rate=st.floats(0, 1), config=json_values)
 def test_corruption_scoring_and_config(vocab, toks, refs, hyps, kind, rate, config):
     _outcome(lambda: corrupt(vocab, toks, CorruptionSpec(kind, rate, 3)))
-    _outcome(lambda: wer(toks, hyps[0] if hyps else []))
+    _outcome(lambda: score_corpus([toks], hyps[:1] or [[]]))
     _outcome(lambda: score_corpus(refs, hyps))
     _outcome(lambda: config_from_dict(config))
+
+
+state_id = st.one_of(st.integers(0, 4), st.sampled_from(["0", 1.5, None, True]))
+arc_weight = st.one_of(st.sampled_from(SPECIAL), st.floats(-4, 4), st.sampled_from(["a", None, True]))
+
+
+@st.composite
+def hand_built_arcs(draw):
+    """Arcs of a small DAG on states 0..4 (src < dst), now and then with a mistyped id or weight."""
+    pairs = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(1, 4)).filter(lambda p: p[0] < p[1]),
+                          max_size=8))
+    arcs = [Arc(s, d, 1, 1, draw(arc_weight)) for s, d in pairs]
+    if arcs and draw(st.booleans()):
+        i = draw(st.integers(0, len(arcs) - 1))
+        arcs[i] = Arc(draw(state_id), draw(state_id), 1, 1, arcs[i].weight)
+    return arcs
+
+
+@CONTRACT
+@given(arcs=hand_built_arcs(), num_states=st.sampled_from([5, 5, 5, "5", 3]))
+def test_hand_built_graphs(arcs, num_states):
+    kind, g = _outcome(lambda: Wfst(num_states, 0, 4 if num_states == 5 else 1, arcs))
+    if kind == "ok":
+        _outcome(lambda: topo_sort(g))
+        _outcome(lambda: total_weight(g))
+        _outcome(lambda: arc_posteriors(g))
+        _outcome(lambda: export_dot(g))
+        assert wfst_from_json(export_json(g)) == g
+
+
+positive_lambdas = st.one_of(st.sampled_from([0.0, 1.0, 700.0, 1e300, 1e308]), st.floats(0, 1e308))
+
+
+@CONTRACT
+@given(data=st.data(), v_size=st.integers(2, 4), t_len=st.integers(1, 3),
+       lambdas=st.tuples(positive_lambdas, positive_lambdas))
+def test_brute_force_loss_with_positive_penalties(data, v_size, t_len, lambdas):
+    toks = data.draw(st.lists(st.integers(1, v_size - 1), max_size=2))
+    z = data.draw(arrays(np.float64, (t_len, len(toks) + 1, v_size), elements=st.floats(-8, 8)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # positive penalties warn
+        penalties = PenaltyConfig(*lambdas)
+    _outcome(lambda: brute_force_loss(z, toks, "wst", penalties, max_paths=500))
 
 
 @st.composite
@@ -158,12 +203,12 @@ def test_cli_never_raises(tmp_path_factory, tensor, rows, criterion):
 
 
 # config objects that each fail validation; the first six passed it once and then failed in training or
-# seeding, and the last raised a TypeError
+# seeding, the next to last raised a TypeError, and the last trained and then scored an empty eval set
 BAD_CONFIGS = [{"learning_rate": math.nan}, {"learning_rate": math.inf}, {"task": {"feature_noise": math.nan}},
                {"task": {"eval_size": -3}}, {"task": {"seed": -1}},
                {"corruption": {"kind": "sub", "rate": 0.5, "seed": -1}}, {"learning_rate": 0}, {"epochs": 0},
                {"momentum": 0.9}, {"criterion": "ctc"}, {"task": [1]}, {"penalties": {"lambda1": "a", "lambda2": 0}},
-               {"corruption": {"kind": "sub"}}]
+               {"corruption": {"kind": "sub"}}, {"task": {"eval_size": 0}}]
 CONFIG_KEYS = ["task", "corruption", "criterion", "penalties", "hidden", "learning_rate", "epochs", "batch_size",
                "max_symbols_per_frame"]
 DONE_ROWS = "".join(json.dumps({"criterion": c, "kind": "sub", "rate": 0.0}) + "\n" for c in ("rnnt", "wst"))

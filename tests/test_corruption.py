@@ -10,7 +10,6 @@ from wst.corruption import (
     edit_counts,
     measure_corruption,
     score_corpus,
-    wer,
 )
 from wst.exceptions import EmptyReference
 from wst.vocab import Vocab
@@ -178,35 +177,49 @@ class TestScoreCorpus:
         counts = [edit_counts(ref, hyp) for ref, hyp in pairs]
         subs, ins, dels = (sum(c[k] for c in counts) for k in range(3))
         total = sum(len(ref) for ref, _ in pairs)
-        denom = max(total, 1)
-        assert score_corpus([r for r, _ in pairs], [h for _, h in pairs]) == {
+        refs, hyps = [r for r, _ in pairs], [h for _, h in pairs]
+        if total == 0:
+            with pytest.raises(EmptyReference):
+                score_corpus(refs, hyps)
+            return
+        assert score_corpus(refs, hyps) == {
             "total_ref_tokens": total,
             "sub_count": subs,
             "ins_count": ins,
             "del_count": dels,
-            "sub_rate": subs / denom,
-            "ins_rate": ins / denom,
-            "del_rate": dels / denom,
-            "error_rate": (subs + ins + dels) / denom,
+            "sub_rate": subs / total,
+            "ins_rate": ins / total,
+            "del_rate": dels / total,
+            "error_rate": (subs + ins + dels) / total,
         }
+
+    @pytest.mark.parametrize("refs, hyps", [([[]], [[1, 2]]), ([[], []], [[], []]), ([], [])],
+                             ids=["one empty, two insertions", "all empty", "no utterance"])
+    def test_no_reference_token_raises(self, refs, hyps):
+        with pytest.raises(EmptyReference):
+            score_corpus(refs, hyps)
+
+    def test_empty_utterance_pools_with_others(self):
+        assert score_corpus([[], [1, 2]], [[3], [1, 2]])["error_rate"] == 0.5
 
 
 class TestWer:
+    """The WER of one utterance is ``score_corpus`` over a corpus of one."""
+
     def test_perfect(self):
-        assert wer([1, 2, 3], [1, 2, 3])[0] == 0.0
+        assert score_corpus([[1, 2, 3]], [[1, 2, 3]])["error_rate"] == 0.0
 
     def test_derived_example(self):
-        rate, s, i, d = wer([1, 2, 3, 4], [1, 5, 4, 6])
-        assert rate == pytest.approx(0.75)
-        assert s + i + d == 3
+        counts = score_corpus([[1, 2, 3, 4]], [[1, 5, 4, 6]])
+        assert counts["error_rate"] == pytest.approx(0.75)
+        assert counts["sub_count"] + counts["ins_count"] + counts["del_count"] == 3
 
     def test_can_exceed_one(self):
-        rate, _, _, _ = wer([1], [2, 3, 4])
-        assert rate == pytest.approx(3.0)
+        assert score_corpus([[1]], [[2, 3, 4]])["error_rate"] == pytest.approx(3.0)
 
     def test_empty_reference_raises(self):
         with pytest.raises(EmptyReference):
-            wer([], [1])
+            score_corpus([[]], [[1]])
 
 
 class TestCalibration:

@@ -6,7 +6,6 @@ import pytest
 from wst.exceptions import NoPath, ShapeMismatch, TooManyPaths
 from wst.graphs import PenaltyConfig, build_rnnt_lattice, build_wst_lattice
 from wst.loss import batched_grid_loss, log_softmax, rnnt_loss
-from wst.numerics import log_sum
 from wst.oracle import brute_force_loss, enumerate_paths
 from wst.vocab import Vocab
 from wst.wfst import EPSILON, Arc, Wfst, total_weight
@@ -37,7 +36,7 @@ def test_path_weights_sum_to_total():
     lp = log_softmax(rng.standard_normal((3, 3, 4)))
     g = build_wst_lattice(Vocab(4), [1, 2], lp, PenaltyConfig(-0.3, -0.7))
     paths = enumerate_paths(g)
-    assert log_sum(w for _, w in paths) == pytest.approx(total_weight(g), abs=1e-10)
+    assert np.logaddexp.reduce([w for _, w in paths]) == pytest.approx(total_weight(g), abs=1e-10)
 
 
 def test_paths_in_arc_id_order():
@@ -118,3 +117,12 @@ def test_brute_force_raises_no_path_like_the_kernel(criterion):
         batched_grid_loss(z[None], [[1]], criterion)
     with pytest.raises(NoPath):
         brute_force_loss(z, [1], criterion)
+
+
+def test_brute_force_raises_no_path_on_overflow():
+    # bypass arcs weighted 1e308 overflow every path that takes two of them
+    z = np.zeros((3, 2, 4))
+    with pytest.warns(UserWarning, match="positive"):
+        pen = PenaltyConfig(1e308, 1e308)
+    with pytest.raises(NoPath, match="overflowed"):
+        brute_force_loss(z, [1], "wst", pen)

@@ -123,10 +123,11 @@ class TestTaskData:
         ("feature_noise", lambda: ToyTask(feature_noise=float("nan"))),
         ("feature_noise", lambda: ToyTask(feature_noise=float("inf"))),
         ("eval_size", lambda: ToyTask(eval_size=-3)),
+        ("eval_size", lambda: ToyTask(eval_size=0)),
         ("seed", lambda: ToyTask(seed=-1)),
         ("seed", lambda: CorruptionSpec("sub", 0.5, -1)),
     ], ids=["learning_rate-nan", "learning_rate-inf", "feature_noise-nan", "feature_noise-inf",
-            "eval_size-negative", "task-seed-negative", "spec-seed-negative"])
+            "eval_size-negative", "eval_size-zero", "task-seed-negative", "spec-seed-negative"])
     def test_out_of_range_named(self, field, make):
         """Values that would fail only later, in training or in numpy's seeding, fail at construction."""
         with pytest.raises(ValueError, match=f"^{field} must be"):
@@ -151,9 +152,9 @@ class TestTaskData:
         assert '"label": 5' in export_json(build_ws_transcript_graph(Vocab(np.int64(5)), [1], None))
 
     def test_smallest_valid_task(self):
-        task = ToyTask(vocab_size=2, min_len=1, max_len=1, train_size=1, eval_size=0)
+        task = ToyTask(vocab_size=2, min_len=1, max_len=1, train_size=1, eval_size=1)
         train_set, eval_set = generate_task_data(task)
-        assert [toks for _, toks in train_set] == [[1]] and eval_set == []
+        assert [toks for _, toks in train_set] == [[1]] and [toks for _, toks in eval_set] == [[1]]
 
 
 class TestForward:

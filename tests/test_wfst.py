@@ -1,11 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from wst.exceptions import CyclicGraph, NoPath
 from wst.graphs import build_rnnt_lattice
-from wst.numerics import NEG_INF, log_sum
+from wst.numerics import NEG_INF
 from wst.oracle import enumerate_paths
 from wst.vocab import Vocab
 from wst.wfst import (
@@ -90,12 +91,23 @@ class TestTotalWeight:
         with pytest.raises(NoPath, match="no accepting path"):
             arc_posteriors(g)
 
+    def test_overflow_raises_no_path(self):
+        with pytest.raises(NoPath, match="overflowed"):
+            total_weight(chain([1e308, 1e308]))
+
+    def test_overflow_met_by_a_finite_path_raises_no_path(self):
+        # the overflowed chain into state 2 meets the direct arc there; a max-shift log-add made it NaN
+        arcs = [Arc(0, 1, EPSILON, EPSILON, 1e308), Arc(1, 2, EPSILON, EPSILON, 1e308),
+                Arc(0, 2, EPSILON, EPSILON, 0.0)]
+        with pytest.raises(NoPath, match="overflowed"):
+            total_weight(Wfst(3, 0, 2, arcs))
+
     def test_oracle_equivalence_random_graphs(self):
         rng = np.random.default_rng(11)
         for _ in range(30):
             g = random_dag(rng, int(rng.integers(3, 13)))
             paths = enumerate_paths(g)
-            expected = log_sum(w for _, w in paths)
+            expected = np.logaddexp.reduce([w for _, w in paths])
             assert total_weight(g) == pytest.approx(expected, abs=1e-10)
 
 
@@ -153,7 +165,7 @@ class TestArcPosteriors:
             for s in range(g.num_states):
                 paths = enumerate_paths(Wfst(g.num_states, s, g.final, g.arcs))
                 if paths:
-                    assert beta[s] == pytest.approx(log_sum(w for _, w in paths), abs=1e-12)
+                    assert beta[s] == pytest.approx(np.logaddexp.reduce([w for _, w in paths]), abs=1e-12)
                 else:
                     assert beta[s] == NEG_INF
 
@@ -173,7 +185,7 @@ class TestArcPosteriors:
                 if pos[a.src] < cut <= pos[a.dst]
             ]
             if crossing:
-                assert log_sum(crossing) == pytest.approx(total, abs=1e-10)
+                assert np.logaddexp.reduce(crossing) == pytest.approx(total, abs=1e-10)
 
     def test_gradient_identity_finite_differences(self):
         rng = np.random.default_rng(17)
@@ -242,6 +254,23 @@ class TestInvariants:
     def test_nan_and_plus_inf_weights_rejected(self, weight):
         with pytest.raises(ValueError, match="must not be NaN or \\+inf"):
             Wfst(2, 0, 1, [Arc(0, 1, 1, 1, weight)])
+
+    @pytest.mark.parametrize("arc", [Arc(0, 1, 1, 1, "a"), Arc(0, 1, 1, 1, None), Arc(0, 1, 1, 1, True),
+                                     Arc("0", 1, 1, 1, 0.0), Arc(0, 1.0, 1, 1, 0.0), Arc(False, 1, 1, 1, 0.0)],
+                             ids=["str weight", "None weight", "bool weight", "str src", "float dst", "bool src"])
+    def test_mistyped_arc_named(self, arc):
+        with pytest.raises(ValueError, match=re.escape(f"arc {arc}")):
+            Wfst(2, 0, 1, [arc])
+
+    @pytest.mark.parametrize("fields, named", [(("2", 0, 1), "num_states"), ((2, 0.0, 1), "start"),
+                                               ((2, 0, None), "final")])
+    def test_mistyped_state_field_named(self, fields, named):
+        with pytest.raises(ValueError, match=f"^{named} must be an integer"):
+            Wfst(*fields)
+
+    def test_numpy_scalars_accepted(self):
+        g = Wfst(np.int64(2), np.int32(0), 1, [Arc(np.int64(0), 1, 1, 1, np.float64(-1.0))])
+        assert total_weight(g) == -1.0
 
     @pytest.mark.parametrize("start, final, named", [(2, 1, "start"), (-1, 1, "start"), (0, 2, "final")])
     def test_start_and_final_in_range(self, start, final, named):
