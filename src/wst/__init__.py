@@ -15,9 +15,9 @@ from .graphs import (
     build_ws_transcript_graph,
     build_wst_lattice,
     penalties_for,
+    star_log_prob,
 )
 from .loss import batched_grid_loss, log_softmax, rnnt_loss, wst_loss
-from .numerics import NEG_INF, star_log_prob
 from .oracle import brute_force_loss, enumerate_paths
 from .toytrain import (
     ExperimentConfig,
@@ -31,6 +31,7 @@ from .toytrain import (
 from .vocab import Vocab, validate_transcript
 from .wfst import (
     EPSILON,
+    NEG_INF,
     Arc,
     ArcKind,
     Wfst,

@@ -29,9 +29,26 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .exceptions import ShapeMismatch
-from .numerics import LN_HALF, star_log_prob
 from .vocab import Vocab, check_field_types, validate_transcript
 from .wfst import EPSILON, Arc, ArcKind, Wfst
+
+LN_HALF = math.log(0.5)
+
+
+def star_log_prob(log_p_blank, vocab_size: int):
+    """Log of the average non-blank probability, the star arc's weight: log((1 - p_blank) / (|V| - 1)).
+
+    Elementwise on an array of blank log-probabilities; a scalar gives a float.
+    Returns -inf where blank takes all the mass (log_p_blank >= 0). A NaN
+    entry or a vocabulary of fewer than two symbols raises ValueError.
+    """
+    if vocab_size < 2:
+        raise ValueError("vocab_size must be at least 2")
+    if np.isnan(log_p_blank).any():
+        raise ValueError("log_p_blank must not be NaN")
+    with np.errstate(divide="ignore"):
+        out = np.log(-np.expm1(np.minimum(log_p_blank, 0.0))) - math.log(vocab_size - 1)
+    return float(out) if np.ndim(out) == 0 else out
 
 
 @dataclass(frozen=True)

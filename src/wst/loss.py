@@ -60,8 +60,8 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .exceptions import NoPath, ShapeMismatch
-from .graphs import PenaltyConfig, _check_grid, item_tensor, penalties_for
-from .numerics import NEG_INF, star_log_prob
+from .graphs import PenaltyConfig, _check_grid, item_tensor, penalties_for, star_log_prob
+from .wfst import NEG_INF
 
 _CONSERVATION_TOL = 1e-6  # far from both ends: residuals are ~1e-14 on ordinary logits, 1.5e-5 at x1e10
 _BLOCK_BYTES = 256 * 1024  # a row block of the dense passes; 64 KB-1 MB ran alike, 4 MB (twice a 2 MB L2) slower
@@ -198,9 +198,9 @@ def _grid_loss_grad(blank: np.ndarray, tok: np.ndarray, v_size: int,
         blank_bypass = star + penalties.lambda2
         blank_bypass[:, -1] = NEG_INF
         horiz = np.logaddexp(blank, blank_bypass)
-    alpha, beta = _alpha_beta(vert, horiz)
-    total = alpha[:, t_len, u_len]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        alpha, beta = _alpha_beta(vert, horiz)
+        total = alpha[:, t_len, u_len]
         gamma_vert = _occupancy(alpha[:, :t_len, :u_len], vert, beta[:, :t_len, 1:], total)
         gamma_horiz = _occupancy(alpha[:, :t_len], horiz, beta[:, 1:], total)
         _check_conservation(gamma_vert, gamma_horiz)

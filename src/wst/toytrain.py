@@ -262,14 +262,13 @@ def train(config: ExperimentConfig) -> Tuple[ToyModelParams, List[float]]:
     return params, curve
 
 
-def greedy_decode(
-    params: ToyModelParams, features: np.ndarray, max_symbols_per_frame: int = 4
-) -> List[int]:
+def greedy_decode(params: ToyModelParams, features: np.ndarray, max_symbols_per_frame: int) -> List[int]:
     """Frame-synchronous greedy search on the trainer's forward pass; never emits blank or star.
 
     One ``_forward_batch`` call scores every frame after every one-token context.
     The search emits the argmax token while it is non-blank (it becomes the context,
-    up to the per-frame cap), otherwise advances to the next frame.
+    up to ``max_symbols_per_frame`` per frame), otherwise advances to the next frame.
+    The cap has no default: experiments decode with ``ExperimentConfig.max_symbols_per_frame``.
     """
     cap = max_symbols_per_frame
     if isinstance(cap, bool) or not isinstance(cap, (int, np.integer)) or cap < 1:

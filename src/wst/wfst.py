@@ -1,5 +1,9 @@
 """Generic weighted automaton over the log semiring.
 
+Weights are natural-log probabilities. ``NEG_INF`` (-inf) is the semiring
+zero, a disabled arc or an empty sum, and log-addition is ``np.logaddexp``,
+which is exact against -inf and gives +inf, never NaN, on +inf.
+
 Graphs are immutable after construction. The forward-backward routines assume
 acyclicity and process states in a deterministic topological order, so results
 are bit-reproducible across runs. Beta is the forward sweep of the reversed
@@ -20,8 +24,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .exceptions import CyclicGraph, NoPath
-from .numerics import NEG_INF
 
+NEG_INF = float("-inf")
 EPSILON = -1
 
 
@@ -215,8 +219,8 @@ def export_dot(g: Wfst, symbols: Optional[Dict[int, str]] = None) -> str:
 
 
 def export_json(g: Wfst) -> str:
-    """Round-trippable JSON arc list. -inf weights serialize as -Infinity."""
-    return json.dumps(asdict(g), indent=2)
+    """Round-trippable JSON arc list; -inf weights serialize as -Infinity, numpy scalars as Python ones."""
+    return json.dumps(asdict(g), indent=2, default=np.generic.item)  # any other object still raises TypeError
 
 
 def wfst_from_json(text: str) -> Wfst:

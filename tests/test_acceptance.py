@@ -18,10 +18,10 @@ from wst.cli import main as cli_main
 from wst.corruption import KINDS, CorruptionSpec, measure_corruption
 from wst.graphs import PenaltyConfig, build_rnnt_lattice, build_wst_lattice
 from wst.loss import log_softmax, rnnt_loss, wst_loss
-from wst.numerics import NEG_INF
 from wst.oracle import brute_force_loss, enumerate_paths
 from wst.toytrain import ExperimentConfig, ToyTask, run_experiment
 from wst.vocab import Vocab
+from wst.wfst import NEG_INF
 
 NO_PENALTY = PenaltyConfig(0.0, 0.0)
 

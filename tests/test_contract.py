@@ -25,7 +25,7 @@ from wst import cli
 from wst.corruption import CorruptionSpec, corrupt, score_corpus
 from wst.exceptions import NoPath, WstError
 from wst.graphs import (LN_HALF, PenaltyConfig, build_rnnt_lattice, build_transcript_graph,
-                        build_ws_transcript_graph, build_wst_lattice)
+                        build_ws_transcript_graph, build_wst_lattice, star_log_prob)
 from wst.loss import batched_grid_loss, log_softmax, rnnt_loss, wst_loss
 from wst.oracle import brute_force_loss
 from wst.toytrain import config_from_dict
@@ -101,6 +101,14 @@ def test_builders_and_lattice_scores(vocab, toks, lp, pen):
         if kind == "ok":
             _outcome(lambda: total_weight(g))
             _outcome(lambda: arc_posteriors(g))
+
+
+@CONTRACT
+@given(blank=st.sampled_from(SPECIAL) | arrays(np.float64, array_shapes(min_dims=0, max_dims=2, max_side=3),
+                                              elements=st.sampled_from(SPECIAL)),
+       v_size=st.integers(0, 5))
+def test_star_log_prob(blank, v_size):
+    _outcome(lambda: star_log_prob(blank, v_size))
 
 
 @CONTRACT

@@ -13,12 +13,12 @@ from wst.graphs import (
     build_ws_transcript_graph,
     build_wst_lattice,
     penalties_for,
+    star_log_prob,
 )
 from wst.loss import log_softmax
-from wst.numerics import NEG_INF, star_log_prob
 from wst.oracle import enumerate_paths
 from wst.vocab import Vocab
-from wst.wfst import ArcKind, topo_sort, total_weight
+from wst.wfst import NEG_INF, ArcKind, topo_sort, total_weight
 
 V4 = Vocab(4)
 
@@ -259,3 +259,64 @@ class TestPathCounts:
                 twin = next(x for x in g.arcs if x.kind == ArcKind.TOKEN
                             and x.frame == a.frame and x.position == a.position)
                 assert (a.src, a.dst) == (twin.src, twin.dst)
+
+
+def test_star_log_prob_limits():
+    assert star_log_prob(0.0, 2) == NEG_INF
+    assert star_log_prob(NEG_INF, 2) == 0.0
+    assert star_log_prob(NEG_INF, 5) == -math.log(4)
+    assert star_log_prob(math.log(0.3), 2) == pytest.approx(math.log(0.7), abs=1e-12)
+
+
+def test_star_log_prob_uniform():
+    assert star_log_prob(math.log(1 / 3), 3) == pytest.approx(math.log(1 / 3), abs=1e-12)
+
+
+def test_star_log_prob_derived():
+    assert star_log_prob(math.log(0.9), 5) == pytest.approx(math.log(0.025), abs=1e-12)
+    assert math.log(0.025) == pytest.approx(-3.688879, abs=1e-6)
+
+
+def test_star_log_prob_blank_takes_all():
+    assert star_log_prob(0.0, 3) == NEG_INF
+
+
+EDGE_VALUES = [0.0, -0.0, -1e-300, float(np.nextafter(LN_HALF, 0.0)), LN_HALF,
+               float(np.nextafter(LN_HALF, -1.0)), -745.0, NEG_INF, 0.5]
+
+
+def math_log1mexp(b):
+    if b >= 0.0:
+        return NEG_INF
+    if b > LN_HALF:
+        return math.log(-math.expm1(b))
+    return math.log1p(-math.exp(b))
+
+
+def assert_close_or_neg_inf(got, want):
+    if want == NEG_INF:
+        assert got == NEG_INF
+    else:
+        assert math.isclose(got, want, rel_tol=1e-15, abs_tol=0.0), (got, want)
+
+
+def test_star_log_prob_array_matches_math_formulas():
+    v_size = 7
+    out = star_log_prob(np.asarray(EDGE_VALUES).reshape(3, 3), v_size)
+    assert out.shape == (3, 3)
+    for b, got in zip(EDGE_VALUES, out.ravel()):
+        want = math_log1mexp(b) - math.log(v_size - 1)
+        assert_close_or_neg_inf(float(got), want)
+
+
+@pytest.mark.parametrize("b", EDGE_VALUES)
+def test_scalar_input_gives_python_float(b):
+    for x in (b, np.float64(b)):
+        assert type(star_log_prob(x, 4)) is float
+        assert_close_or_neg_inf(star_log_prob(x, 4), math_log1mexp(b) - math.log(3))
+
+
+@pytest.mark.parametrize("v_size", [1, 0])
+def test_star_log_prob_needs_two_symbols(v_size):
+    with pytest.raises(ValueError, match="vocab_size must be at least 2"):
+        star_log_prob(-1.0, v_size)

@@ -10,14 +10,13 @@ from hypothesis import example, given, settings, strategies as st
 from wst import loss as loss_module
 from wst.exceptions import BlankInTranscript, NoPath, OutOfVocabulary, ShapeMismatch
 from wst.graphs import (LN_HALF, PenaltyConfig, _grid_lattice, build_rnnt_lattice, build_wst_lattice,
-                        penalties_for)
+                        penalties_for, star_log_prob)
 from wst.loss import (_BLOCK_BYTES, _grid_loss_grad, _write_grad, batched_grid_loss, log_softmax,
                       rnnt_loss, wst_loss)
-from wst.numerics import NEG_INF, star_log_prob
-from wst.numerics import star_log_prob as _star_rows  # the name reference_grid_loss uses
+from wst.graphs import star_log_prob as _star_rows  # the name reference_grid_loss uses
 from wst.oracle import brute_force_loss
 from wst.vocab import Vocab
-from wst.wfst import arc_posteriors, total_weight
+from wst.wfst import NEG_INF, arc_posteriors, total_weight
 
 NO_PENALTY = PenaltyConfig(0.0, 0.0)
 INF_PENALTY = PenaltyConfig(NEG_INF, NEG_INF)
@@ -326,6 +325,13 @@ class TestOverflowingLogits:
             penalties = PenaltyConfig(-math.inf, 1.7e308)
         losses, grads = batched_grid_loss(z[None], [[3, 4, 5]], "wst", penalties)
         assert losses[0] == -1.7e308 and np.isfinite(grads).all()
+
+    def test_sweep_overflow_is_no_path(self):
+        """Under penalties of 1e308 alpha itself overflows in the sweep: NoPath, not a RuntimeWarning."""
+        with pytest.warns(UserWarning, match="positive"):
+            penalties = PenaltyConfig(1e308, 1e308)
+        with pytest.raises(NoPath, match="item 0 overflowed"):
+            batched_grid_loss(np.zeros((1, 3, 2, 4)), [[1]], "wst", penalties)
 
     def test_lost_path_count_is_no_path(self):
         # the overflowing entry is a token no arc reads, but the token arc's

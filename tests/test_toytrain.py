@@ -9,7 +9,6 @@ from wst import toytrain
 from wst.exceptions import Divergence, NoPath, ShapeMismatch, VocabError
 from wst.graphs import PenaltyConfig, build_ws_transcript_graph
 from wst.loss import batched_grid_loss, rnnt_loss
-from wst.numerics import NEG_INF
 from wst.toytrain import (
     ExperimentConfig,
     ToyTask,
@@ -26,7 +25,7 @@ from wst.toytrain import (
     train,
 )
 from wst.vocab import Vocab
-from wst.wfst import export_json
+from wst.wfst import NEG_INF, export_json
 
 SMALL_TASK = ToyTask(vocab_size=5, train_size=12, eval_size=6, min_len=2, max_len=4, seed=3)
 
@@ -172,16 +171,16 @@ class TestForward:
         with pytest.raises(ShapeMismatch):
             forward(params, bad, [1, 2])
         with pytest.raises(ShapeMismatch):
-            greedy_decode(params, bad)
+            greedy_decode(params, bad, 4)
         with pytest.raises(ShapeMismatch):
-            greedy_decode(params, np.zeros(SMALL_TASK.feature_dim))
+            greedy_decode(params, np.zeros(SMALL_TASK.feature_dim), 4)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_features(self, bad):
         params = init_params(SMALL_TASK, 8, 0)
         feats = np.zeros((3, SMALL_TASK.feature_dim))
         feats[1, 2] = bad
-        for call in (lambda: forward(params, feats, [1]), lambda: greedy_decode(params, feats)):
+        for call in (lambda: forward(params, feats, [1]), lambda: greedy_decode(params, feats, 4)):
             with pytest.raises(ShapeMismatch, match="features must be finite"):
                 call()
 
@@ -195,7 +194,7 @@ class TestForward:
     def test_decode_accepts_nested_lists(self):
         params = init_params(SMALL_TASK, 8, 0)
         feats = np.random.default_rng(3).standard_normal((4, SMALL_TASK.feature_dim))
-        assert greedy_decode(params, feats.tolist()) == greedy_decode(params, feats)
+        assert greedy_decode(params, feats.tolist(), 4) == greedy_decode(params, feats, 4)
 
     def test_row_u_depends_only_on_previous_token(self):
         params = init_params(SMALL_TASK, 8, 0)
@@ -359,7 +358,7 @@ class TestGreedyDecode:
         rng = np.random.default_rng(1)
         for _ in range(10):
             feats = rng.standard_normal((6, SMALL_TASK.feature_dim))
-            out = greedy_decode(params, feats)
+            out = greedy_decode(params, feats, 4)
             assert all(1 <= t < SMALL_TASK.vocab_size for t in out)
 
     def test_length_cap(self):
@@ -370,7 +369,7 @@ class TestGreedyDecode:
 
     def test_empty_features(self):
         params = init_params(SMALL_TASK, 8, 0)
-        assert greedy_decode(params, np.zeros((0, SMALL_TASK.feature_dim))) == []
+        assert greedy_decode(params, np.zeros((0, SMALL_TASK.feature_dim)), 4) == []
 
     def test_cap_validation(self):
         params = init_params(SMALL_TASK, 8, 0)
@@ -386,7 +385,7 @@ class TestEvaluate:
         # decode the eval set with a trained model and score against itself
         params = init_params(SMALL_TASK, 8, 0)
         _, eval_set = generate_task_data(SMALL_TASK)
-        hyps = [(f, greedy_decode(params, f)) for f, _ in eval_set]
+        hyps = [(f, greedy_decode(params, f, 4)) for f, _ in eval_set]
         scored = [(f, h) for (f, _), (_, h) in zip(eval_set, hyps)]
         assert evaluate(params, scored, 4)["error_rate"] == 0.0
 

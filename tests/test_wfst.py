@@ -3,14 +3,15 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from wst.exceptions import CyclicGraph, NoPath
 from wst.graphs import build_rnnt_lattice
-from wst.numerics import NEG_INF
 from wst.oracle import enumerate_paths
 from wst.vocab import Vocab
 from wst.wfst import (
     EPSILON,
+    NEG_INF,
     Arc,
     ArcKind,
     Wfst,
@@ -223,6 +224,12 @@ class TestExport:
         g = parallel([NEG_INF, -1.0])
         assert wfst_from_json(export_json(g)) == g
 
+    def test_json_round_trip_with_numpy_scalars(self):
+        # serialized as the Python scalars they hold: the float32 weight is not truncated to an int
+        g = Wfst(np.int64(2), 0, 1, [Arc(0, np.int64(1), np.int64(1), 1, np.float32(-0.5))])
+        parsed = wfst_from_json(export_json(g))
+        assert parsed == g and parsed.arcs[0].weight == -0.5
+
     def test_fig2_scale_lattice_states(self):
         lp = np.full((4, 4, 4), math.log(0.25))
         g = build_rnnt_lattice(Vocab(4), [1, 2, 3], lp)
@@ -276,3 +283,84 @@ class TestInvariants:
     def test_start_and_final_in_range(self, start, final, named):
         with pytest.raises(ValueError, match=f"{named} state .* out of range"):
             Wfst(2, start, final)
+
+
+finite = st.floats(min_value=-50, max_value=50)
+
+
+def log_sum(*weights):
+    """The package's log-sum: the forward sweep over parallel arcs, one np.logaddexp per arc."""
+    return total_weight(parallel(weights))
+
+
+def test_log_add_equal_weights():
+    assert log_sum(0.0, 0.0) == pytest.approx(math.log(2), abs=1e-12)
+
+
+def test_log_add_neg_inf_identity():
+    assert log_sum(NEG_INF, -1.5) == -1.5
+    assert log_sum(-1.5, NEG_INF) == -1.5
+    assert log_sum(NEG_INF, NEG_INF) == NEG_INF
+
+
+def test_log_add_probabilities_summing_to_one():
+    assert log_sum(math.log(1 / 3), math.log(2 / 3)) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_log_sum_empty_is_zero_element():
+    assert log_sum() == NEG_INF
+
+
+def test_log_sum_four_quarters():
+    assert log_sum(*[math.log(0.25)] * 4) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_log_sum_derived_value():
+    expected = math.log(math.exp(-1) + math.exp(-2) + math.exp(-3))
+    assert log_sum(-1.0, -2.0, -3.0) == pytest.approx(expected, abs=1e-12)
+    assert expected == pytest.approx(-0.592394, abs=1e-6)
+
+
+def test_log_sum_all_neg_inf():
+    assert log_sum(NEG_INF, NEG_INF) == NEG_INF
+
+
+@pytest.mark.parametrize("a, b", [(math.inf, 1.0), (1.0, math.inf), (math.inf, math.inf), (math.inf, NEG_INF)])
+def test_logaddexp_gives_plus_inf_not_nan(a, b):
+    """The forward sweep's log-add is +inf on +inf, never NaN; a max-shift log-add gives NaN here."""
+    assert np.logaddexp(a, b) == math.inf
+
+
+@given(finite, finite, finite)
+def test_associativity_within_tolerance(a, b, c):
+    left = log_sum(log_sum(a, b), c)
+    right = log_sum(a, log_sum(b, c))
+    assert abs(left - right) <= 1e-12
+
+
+@given(finite, finite)
+def test_commutative(a, b):
+    assert log_sum(a, b) == log_sum(b, a)
+
+
+@given(finite, finite)
+def test_monotonicity(a, b):
+    # >= rather than >: the increment underflows for widely separated inputs
+    assert log_sum(a, b) >= max(a, b)
+
+
+@given(finite)
+def test_monotonicity_equality_iff_neg_inf(a):
+    assert log_sum(a, NEG_INF) == a
+
+
+@given(st.floats(min_value=-700, max_value=700), st.floats(min_value=-700, max_value=700))
+def test_no_overflow_up_to_700(a, b):
+    r = log_sum(a, b)
+    assert math.isfinite(r)
+    assert r >= max(a, b)
+
+
+@given(st.lists(finite, min_size=1, max_size=20))
+def test_log_sum_order_independent(vals):
+    assert abs(log_sum(*vals) - log_sum(*reversed(vals))) <= 1e-12
