@@ -39,11 +39,17 @@ def star_log_prob(log_p_blank, vocab_size: int):
     """Log of the average non-blank probability, the star arc's weight: log((1 - p_blank) / (|V| - 1)).
 
     Elementwise on an array of blank log-probabilities; a scalar gives a float.
-    Returns -inf where blank takes all the mass (log_p_blank >= 0). A NaN
-    entry or a vocabulary of fewer than two symbols raises ValueError.
+    Returns -inf where blank takes all the mass (log_p_blank >= 0). A NaN,
+    complex or non-numeric entry, and a vocabulary size that is not an integer
+    of at least 2, raise ValueError.
     """
+    if isinstance(vocab_size, bool) or not isinstance(vocab_size, (int, np.integer)):
+        raise ValueError(f"vocab_size must be an integer, got {vocab_size!r}")
     if vocab_size < 2:
         raise ValueError("vocab_size must be at least 2")
+    if np.asarray(log_p_blank).dtype.kind not in "biufc":  # text and objects; complex is real_array's
+        raise ValueError(f"log_p_blank must be numeric, got {log_p_blank!r}")
+    log_p_blank = real_array(log_p_blank)
     if np.isnan(log_p_blank).any():
         raise ValueError("log_p_blank must not be NaN")
     with np.errstate(divide="ignore"):
@@ -112,9 +118,16 @@ def _chain(vocab: Vocab, tokens: Sequence[int], penalties: Optional[PenaltyConfi
     return Wfst(num_states=u_len + 2, start=0, final=final, arcs=arcs)
 
 
+def real_array(x) -> np.ndarray:
+    """``np.asarray(x, dtype=float)``, but ShapeMismatch for complex entries, which that cast truncates."""
+    if np.iscomplexobj(x):
+        raise ShapeMismatch("tensor entries must be real, not complex")
+    return np.asarray(x, dtype=float)
+
+
 def item_tensor(scores) -> np.ndarray:
-    """One item's scores as a float array; ShapeMismatch unless it is [T, U+1, V]."""
-    z = np.asarray(scores, dtype=float)
+    """One item's scores as a float array; ShapeMismatch unless it is real and [T, U+1, V]."""
+    z = real_array(scores)
     if z.ndim != 3:
         raise ShapeMismatch(f"expected a [T][U+1][|V|] tensor, got {z.ndim} dimensions")
     return z

@@ -34,9 +34,10 @@ routed through the log-softmax Jacobian, and bypass arcs additionally apply
 the star chain rule — the star weight depends on the row only through the
 blank log-probability, with d(star)/d(logp_blank) = -p_blank / (1 - p_blank).
 The kernel reads that factor off the star plane, as -exp(blank - star -
-log(|V| - 1)), so 1 - p_blank is formed once, in ``star_log_prob``. A bypass
-arc's occupancy is its own share of its twin's, and the plain arc takes the
-rest. Each row of the log-probability sensitivity has at most two nonzero
+log(|V| - 1)), so 1 - p_blank is formed once, in ``star_log_prob``. Every
+arc's occupancy, a bypass arc's too, is exp(alpha + arc + beta - total), as
+``wfst.arc_posteriors`` forms it, and the plain arc takes its twin's less its
+bypass's. Each row of the log-probability sensitivity has at most two nonzero
 entries, blank and the row's target, so the kernel returns it as two planes,
 ``d_blank`` [B, T, U+1] and ``d_tok`` [B, T, U]; no dense sensitivity tensor
 is built. The raw log-probability gradient, ``grad_wrt="logprobs"``, is the
@@ -60,7 +61,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .exceptions import NoPath, ShapeMismatch
-from .graphs import PenaltyConfig, _check_grid, item_tensor, penalties_for, star_log_prob
+from .graphs import PenaltyConfig, _check_grid, item_tensor, penalties_for, real_array, star_log_prob
 from .wfst import NEG_INF
 
 _CONSERVATION_TOL = 1e-6  # far from both ends: residuals are ~1e-14 on ordinary logits, 1.5e-5 at x1e10
@@ -77,7 +78,7 @@ def _row_blocks(*arrays):
 
 def _exp_rows(logits) -> Tuple[np.ndarray, ...]:
     """(z, e, m, sums): C-contiguous logits z, row maxima m, e = exp(z - m) and row sums of e (keepdims)."""
-    z = np.ascontiguousarray(logits, dtype=float)
+    z = np.ascontiguousarray(real_array(logits))
     e = np.empty_like(z)
     m, sums = np.empty((2, *z.shape[:-1], 1))
     with np.errstate(over="ignore"):  # only z - m can overflow
@@ -168,11 +169,6 @@ def _check_conservation(gamma_vert: np.ndarray, gamma_horiz: np.ndarray) -> None
         raise NoPath(f"arc occupancies of item {item} {fault} (residual {residual[item]:.3g})")
 
 
-def _share(gamma: np.ndarray, arc: np.ndarray, twin: np.ndarray) -> np.ndarray:
-    """The part of occupancy ``gamma`` taken by ``arc`` in a twin whose log-sum is ``twin``."""
-    return np.where(gamma > 0.0, gamma * np.exp(arc - twin), 0.0)
-
-
 def _grid_loss_grad(blank: np.ndarray, tok: np.ndarray, v_size: int,
                     penalties: Optional[PenaltyConfig]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Forward-backward over the (t, u) grid for a batch of equal-shape items.
@@ -207,10 +203,8 @@ def _grid_loss_grad(blank: np.ndarray, tok: np.ndarray, v_size: int,
         if penalties is None:
             return total, gamma_horiz, gamma_vert
 
-        # A bypass occupancy is its own share of its twin: the twin less the plain share
-        # cancels where blank holds nearly all the mass, and the factor multiplies that error.
-        gamma_tok_bypass = _share(gamma_vert, tok_bypass, vert)
-        gamma_star = _share(gamma_horiz, blank_bypass, horiz)
+        gamma_tok_bypass = _occupancy(alpha[:, :t_len, :u_len], tok_bypass, beta[:, :t_len, 1:], total)
+        gamma_star = _occupancy(alpha[:, :t_len], blank_bypass, beta[:, 1:], total)
         d_blank = gamma_horiz - gamma_star
         gamma_star[:, :, :u_len] += gamma_tok_bypass
         # d(star)/d(logp_blank) = -p/(1-p), read off the star plane. It is finite unless
@@ -291,7 +285,7 @@ def batched_grid_loss(
     overflow. Otherwise the loss and gradient are finite. ``penalties`` are
     ignored for ``"rnnt"``; for ``"wst"``, None means ``PenaltyConfig()``.
     """
-    z = np.asarray(logits, dtype=float)
+    z = real_array(logits)
     if z.ndim != 4:
         raise ShapeMismatch(f"expected a [B][T][U+1][|V|] tensor, got {z.ndim} dimensions")
     pen = penalties_for(criterion, penalties)

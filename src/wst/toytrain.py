@@ -24,7 +24,7 @@ import numpy as np
 from .corruption import CorruptionSpec, corrupt_dataset, measure_corruption, score_corpus
 from .corruption import edit_counts  # noqa: F401 -- bench/tracing.py wraps toytrain.edit_counts
 from .exceptions import Divergence, NoPath, ShapeMismatch
-from .graphs import PenaltyConfig, penalties_for
+from .graphs import PenaltyConfig, penalties_for, real_array
 from .loss import batched_grid_loss
 from .vocab import Vocab, check_field_types, validate_transcript
 
@@ -138,13 +138,18 @@ def init_params(task: ToyTask, hidden: int, seed: int) -> ToyModelParams:
 def forward(params: ToyModelParams, features: np.ndarray, tokens: Sequence[int]) -> np.ndarray:
     """Logit tensor [T][U+1][|V|] for one utterance.
 
-    A token that is not a real symbol raises VocabError, and a NaN or infinite feature ShapeMismatch.
+    A token that is not a real symbol raises VocabError. A complex, NaN or
+    infinite feature raises ShapeMismatch, and so do parameters that give a
+    NaN or infinite logit.
     """
     validate_transcript(Vocab(params.joiner_w.shape[0]), tokens)
-    xs = np.asarray(features, dtype=float)[None]
+    xs = real_array(features)[None]
     if not np.isfinite(xs).all():
         raise ShapeMismatch("features must be finite")
-    logits, _, _ = _forward_batch(params, xs, np.asarray([list(tokens)], dtype=int), {})
+    with np.errstate(over="ignore", invalid="ignore"):
+        logits, _, _ = _forward_batch(params, xs, np.asarray([list(tokens)], dtype=int), {})
+    if not np.isfinite(logits).all():
+        raise ShapeMismatch("the parameters give non-finite logits")
     return logits[0]
 
 

@@ -43,8 +43,9 @@ class Arc:
     """A weighted transition.
 
     ``label``/``olabel`` are token ids, the star id, or EPSILON. ``frame`` and
-    ``position`` record which log-probability row the weight was read from;
-    gradient routing depends on them, so lattice builders always set them.
+    ``position`` record which log-probability row the weight was read from.
+    The lattice builders set them and ``export_json`` writes them; the test
+    suite maps ``arc_posteriors`` onto the grid with them. The loss kernel reads no arcs.
     """
 
     src: int

@@ -18,17 +18,17 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from wst import cli
 from wst.corruption import CorruptionSpec, corrupt, score_corpus
-from wst.exceptions import NoPath, WstError
+from wst.exceptions import NoPath, ShapeMismatch, WstError
 from wst.graphs import (LN_HALF, PenaltyConfig, build_rnnt_lattice, build_transcript_graph,
                         build_ws_transcript_graph, build_wst_lattice, star_log_prob)
 from wst.loss import batched_grid_loss, log_softmax, rnnt_loss, wst_loss
 from wst.oracle import brute_force_loss
-from wst.toytrain import config_from_dict
+from wst.toytrain import ToyTask, config_from_dict, forward, greedy_decode, init_params
 from wst.vocab import Vocab
 from wst.wfst import (Arc, Wfst, arc_posteriors, export_dot, export_json, topo_sort, total_weight,
                       wfst_from_json)
@@ -105,10 +105,42 @@ def test_builders_and_lattice_scores(vocab, toks, lp, pen):
 
 @CONTRACT
 @given(blank=st.sampled_from(SPECIAL) | arrays(np.float64, array_shapes(min_dims=0, max_dims=2, max_side=3),
-                                              elements=st.sampled_from(SPECIAL)),
-       v_size=st.integers(0, 5))
+                                              elements=st.sampled_from(SPECIAL)) |
+       st.sampled_from(["a", "1", None, {}, [0.0, "b"], [0.0, None]]),
+       v_size=st.integers(0, 5) | st.sampled_from([2.5, 3.0, True, "3", np.int64(3)]))
+@example(blank=-1.0, v_size=2.5)
+@example(blank="a", v_size=3)
 def test_star_log_prob(blank, v_size):
-    _outcome(lambda: star_log_prob(blank, v_size))
+    """A vocabulary size that is not an integer, and input that is not numeric, raise ValueError."""
+    kind, _ = _outcome(lambda: star_log_prob(blank, v_size))
+    numeric = np.asarray(blank).dtype.kind == "f"
+    assert kind is ValueError or (numeric and isinstance(v_size, (int, np.integer)) and not isinstance(v_size, bool))
+
+
+TOY_PARAMS = init_params(ToyTask(vocab_size=3), 4, 0)
+COMPLEX_FEATURES = np.zeros((2, ToyTask(vocab_size=3).feature_dim)) + 1j
+COMPLEX_SCORES = np.zeros((2, 2, 3)) + 1j
+
+
+@pytest.mark.parametrize("call", [
+    lambda: rnnt_loss(COMPLEX_SCORES, [1]),
+    lambda: wst_loss(COMPLEX_SCORES, [1], None),
+    lambda: brute_force_loss(COMPLEX_SCORES, [1], "wst"),
+    lambda: build_rnnt_lattice(Vocab(3), [1], COMPLEX_SCORES),
+    lambda: build_wst_lattice(Vocab(3), [1], COMPLEX_SCORES, None),
+    lambda: batched_grid_loss(COMPLEX_SCORES[None], [[1]], "wst"),
+    lambda: batched_grid_loss(list(COMPLEX_SCORES[None]), [[1]]),
+    lambda: log_softmax(COMPLEX_SCORES),
+    lambda: star_log_prob(COMPLEX_SCORES[..., 0], 3),
+    lambda: forward(TOY_PARAMS, COMPLEX_FEATURES, [1]),
+    lambda: greedy_decode(TOY_PARAMS, COMPLEX_FEATURES, 1),
+], ids=["rnnt_loss", "wst_loss", "brute_force_loss", "build_rnnt_lattice", "build_wst_lattice",
+        "batched_grid_loss", "batched_grid_loss list", "log_softmax", "star_log_prob", "forward",
+        "greedy_decode"])
+def test_complex_tensors_rejected(call):
+    """A float cast would score a complex tensor on its real part; every entry point refuses it instead."""
+    with pytest.raises(ShapeMismatch, match="must be real, not complex"):
+        call()
 
 
 @CONTRACT

@@ -184,6 +184,17 @@ class TestForward:
             with pytest.raises(ShapeMismatch, match="features must be finite"):
                 call()
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameters(self, bad):
+        # a NaN logit row would otherwise decode as blank, and inf * 0 in the matmul warns
+        params = init_params(SMALL_TASK, 8, 0)
+        params.joiner_w[0, 0] = bad
+        params.joiner_w[1, 0] = -bad
+        feats = np.ones((6, SMALL_TASK.feature_dim))
+        for call in (lambda: forward(params, feats, [1]), lambda: greedy_decode(params, feats, 1)):
+            with pytest.raises(ShapeMismatch, match="non-finite logits"):
+                call()
+
     @pytest.mark.parametrize("tokens", [[99], [0], [1, SMALL_TASK.vocab_size], [1.5], [True]])
     def test_transcript_outside_vocabulary(self, tokens):
         # out of range, blank, star, a fraction and a bool are all VocabErrors, not IndexErrors
