@@ -39,16 +39,14 @@ def star_log_prob(log_p_blank, vocab_size: int):
     """Log of the average non-blank probability, the star arc's weight: log((1 - p_blank) / (|V| - 1)).
 
     Elementwise on an array of blank log-probabilities; a scalar gives a float.
-    Returns -inf where blank takes all the mass (log_p_blank >= 0). A NaN,
-    complex or non-numeric entry, and a vocabulary size that is not an integer
-    of at least 2, raise ValueError.
+    Returns -inf where blank takes all the mass (log_p_blank >= 0). A NaN
+    entry, or a vocabulary size that is not an integer of at least 2, raises
+    ValueError; a complex or non-numeric entry raises ShapeMismatch, a ValueError too.
     """
     if isinstance(vocab_size, bool) or not isinstance(vocab_size, (int, np.integer)):
         raise ValueError(f"vocab_size must be an integer, got {vocab_size!r}")
     if vocab_size < 2:
         raise ValueError("vocab_size must be at least 2")
-    if np.asarray(log_p_blank).dtype.kind not in "biufc":  # text and objects; complex is real_array's
-        raise ValueError(f"log_p_blank must be numeric, got {log_p_blank!r}")
     log_p_blank = real_array(log_p_blank)
     if np.isnan(log_p_blank).any():
         raise ValueError("log_p_blank must not be NaN")
@@ -119,10 +117,17 @@ def _chain(vocab: Vocab, tokens: Sequence[int], penalties: Optional[PenaltyConfi
 
 
 def real_array(x) -> np.ndarray:
-    """``np.asarray(x, dtype=float)``, but ShapeMismatch for complex entries, which that cast truncates."""
-    if np.iscomplexobj(x):
-        raise ShapeMismatch("tensor entries must be real, not complex")
-    return np.asarray(x, dtype=float)
+    """``np.asarray(x, dtype=float)``, but ShapeMismatch unless every entry is a real number.
+
+    That cast would truncate complex entries to their real part and parse text.
+    """
+    try:
+        a = np.asarray(x)
+        if a.dtype.kind in "biufO":  # objects cast entry by entry; None becomes NaN
+            return a.astype(float, copy=False)
+    except (TypeError, ValueError, OverflowError) as exc:  # ragged nesting, complex or huge objects
+        raise ShapeMismatch(f"tensor entries must be real numbers: {exc}") from None
+    raise ShapeMismatch(f"tensor entries must be real numbers, not {a.dtype}")
 
 
 def item_tensor(scores) -> np.ndarray:

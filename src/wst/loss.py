@@ -78,7 +78,7 @@ def _row_blocks(*arrays):
 
 def _exp_rows(logits) -> Tuple[np.ndarray, ...]:
     """(z, e, m, sums): C-contiguous logits z, row maxima m, e = exp(z - m) and row sums of e (keepdims)."""
-    z = np.ascontiguousarray(real_array(logits))
+    z = np.ascontiguousarray(logits, dtype=float)
     e = np.empty_like(z)
     m, sums = np.empty((2, *z.shape[:-1], 1))
     with np.errstate(over="ignore"):  # only z - m can overflow
@@ -99,9 +99,10 @@ def log_softmax(logits) -> np.ndarray:
     -inf, the log of a probability that is 0 in floating point. A 0-d input, an
     empty last axis, or any entry that is NaN, +inf or -inf, raises ShapeMismatch.
     """
-    if np.ndim(logits) == 0 or np.shape(logits)[-1] == 0:
+    z = real_array(logits)
+    if z.ndim == 0 or z.shape[-1] == 0:
         raise ShapeMismatch("log-softmax needs a nonempty axis to normalise over")
-    z, out, m, sums = _exp_rows(logits)
+    z, out, m, sums = _exp_rows(z)
     with np.errstate(over="ignore"):
         np.subtract(z, m, out=out)
     out -= np.log(sums)

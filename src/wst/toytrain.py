@@ -138,9 +138,9 @@ def init_params(task: ToyTask, hidden: int, seed: int) -> ToyModelParams:
 def forward(params: ToyModelParams, features: np.ndarray, tokens: Sequence[int]) -> np.ndarray:
     """Logit tensor [T][U+1][|V|] for one utterance.
 
-    A token that is not a real symbol raises VocabError. A complex, NaN or
-    infinite feature raises ShapeMismatch, and so do parameters that give a
-    NaN or infinite logit.
+    A token that is not a real symbol raises VocabError. A feature that is
+    not a finite real number raises ShapeMismatch, and so do parameters that
+    give a NaN or infinite logit.
     """
     validate_transcript(Vocab(params.joiner_w.shape[0]), tokens)
     xs = real_array(features)[None]

@@ -111,10 +111,11 @@ def test_builders_and_lattice_scores(vocab, toks, lp, pen):
 @example(blank=-1.0, v_size=2.5)
 @example(blank="a", v_size=3)
 def test_star_log_prob(blank, v_size):
-    """A vocabulary size that is not an integer, and input that is not numeric, raise ValueError."""
+    """A vocabulary size that is not an integer, and input that is not numeric, raise a ValueError."""
     kind, _ = _outcome(lambda: star_log_prob(blank, v_size))
     numeric = np.asarray(blank).dtype.kind == "f"
-    assert kind is ValueError or (numeric and isinstance(v_size, (int, np.integer)) and not isinstance(v_size, bool))
+    assert kind in (ValueError, ShapeMismatch) or (
+        numeric and isinstance(v_size, (int, np.integer)) and not isinstance(v_size, bool))
 
 
 TOY_PARAMS = init_params(ToyTask(vocab_size=3), 4, 0)
@@ -139,8 +140,19 @@ COMPLEX_SCORES = np.zeros((2, 2, 3)) + 1j
         "greedy_decode"])
 def test_complex_tensors_rejected(call):
     """A float cast would score a complex tensor on its real part; every entry point refuses it instead."""
-    with pytest.raises(ShapeMismatch, match="must be real, not complex"):
+    with pytest.raises(ShapeMismatch, match="must be real numbers, not complex"):
         call()
+
+
+@pytest.mark.parametrize("scores", [np.array([[[1j, 0, 0]]], dtype=object), [[["1", "2", "3"]]],
+                                    [[[0, 0, 0], [0, 0]]], [[[10**400, 0, 0]]]],
+                         ids=["complex objects", "text", "ragged", "huge integer"])
+def test_non_numeric_tensors_rejected(scores):
+    """A float cast would parse the text or raise a raw error here; every entry point raises ShapeMismatch."""
+    for call in (lambda: rnnt_loss(scores, []), lambda: batched_grid_loss([scores], [[]]),
+                 lambda: log_softmax(scores), lambda: forward(TOY_PARAMS, scores[0], [])):
+        with pytest.raises(ShapeMismatch, match="must be real numbers"):
+            call()
 
 
 @CONTRACT
